@@ -1,4 +1,4 @@
-"""Internal search primitives: sign enumeration, projected ascent, hill climbing.
+"""Internal search primitives: sign enumeration, sphere grids, projected ascent.
 
 All routines are pure functions of their inputs and the supplied RNG, so a
 fixed seed reproduces results bit for bit (single-threaded).
@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -171,39 +171,3 @@ def weak_p_ascent(
             best_val, best_phi = f, phi
     return max(best_val, 0.0), best_phi
 
-
-def hill_climb(
-    f: Callable[[np.ndarray], float],
-    x0: np.ndarray,
-    rng: np.random.Generator,
-    iters: int = 200,
-    step: float = 0.5,
-    maximize: bool = True,
-) -> tuple[float, np.ndarray]:
-    """Random-direction local search with adaptive step size.
-
-    Proposals mix full-vector Gaussian moves and single-coordinate moves,
-    scaled relative to the current iterate so the search is equivariant
-    under rescaling of the instance.
-    """
-    sgn = 1.0 if maximize else -1.0
-    x = np.array(x0, dtype=float)
-    fx = sgn * f(x)
-    scale = max(float(np.linalg.norm(x)), 1.0)
-    for it in range(iters):
-        if it % 3 == 2 and x.size > 1:
-            d = np.zeros_like(x)
-            d[rng.integers(x.size)] = rng.choice([-1.0, 1.0])
-        else:
-            d = rng.standard_normal(x.size).reshape(x.shape)
-            d /= max(np.linalg.norm(d), 1e-300)
-        cand = x + step * scale * d
-        fc = sgn * f(cand)
-        if fc > fx:
-            x, fx = cand, fc
-            step = min(step * 1.4, 2.0)
-        else:
-            step *= 0.75
-            if step < 1e-12:
-                break
-    return sgn * fx, x

@@ -106,9 +106,16 @@ def _load_sequence(args) -> VecSeq:
         raise _CliError(f"sequence is not valid JSON: {exc}") from exc
     space = parse_space(args.space)
     try:
-        return VecSeq(space, np.asarray(rows, dtype=float))
+        mat = np.asarray(rows, dtype=float)
+        _require_finite(mat, "sequence")
+        return VecSeq(space, mat)
     except (ValueError, TypeError) as exc:
         raise _CliError(str(exc)) from exc
+
+
+def _require_finite(a: np.ndarray, what: str) -> None:
+    if not np.isfinite(a).all():
+        raise _CliError(f"{what} has non-finite entries (NaN or inf)")
 
 
 def _cmd_norm(args) -> int:
@@ -130,6 +137,7 @@ def _cmd_ideal(args) -> int:
         A = multiop_from_dict(doc)
     except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
         raise _CliError(f"cannot load operator: {exc}") from exc
+    _require_finite(A.coeffs, "operator")
     in_spec = _make_class_spec(args.in_class, args.in_p)
     out_cls = args.out_class or args.in_class
     out_p = args.out_p if args.out_p is not None else (

@@ -133,6 +133,11 @@ def ideal_ratio(
             raise ValueError("sequences must share a common length")
         if s.space.dim != sp.dim:
             raise ValueError("sequence space does not match operator domain")
+    return _ratio(A, spec, seqs, seed)
+
+
+def _ratio(A: MultiOp, spec: IdealSpec, seqs: Sequence[VecSeq], seed: int) -> float:
+    """`ideal_ratio` without the shape checks, for callers whose shapes are fixed."""
     denom = 1.0
     for s, cls in zip(seqs, spec.inputs):
         b = seq_norm(s, cls, seed=seed)
@@ -185,10 +190,9 @@ def ideal_norm(
         for d in dims:
             mats.append(flat[off : off + k * d].reshape(k, d))
             off += k * d
+        # the shapes are fixed for each k, so skip the public checks
         try:
-            return ideal_ratio(
-                A, spec, [VecSeq(s, m) for s, m in zip(A.domain, mats)], seed=seed
-            )
+            return _ratio(A, spec, [VecSeq(s, m) for s, m in zip(A.domain, mats)], seed)
         except ValueError:
             return 0.0
 

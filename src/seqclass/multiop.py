@@ -9,7 +9,6 @@ an explicit witness tuple, the upper end combines a rigorous coefficient
 from __future__ import annotations
 
 import math
-import string
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -86,12 +85,22 @@ def evaluate(A: MultiOp, args: Sequence[Vector]) -> Vector:
 
 
 def evaluate_batch(A: MultiOp, mats: Sequence[np.ndarray]) -> np.ndarray:
-    """Evaluate at B argument tuples at once; mats[m] has shape (B, d_m)."""
-    n = A.arity
-    letters = string.ascii_lowercase[:n]
-    out = string.ascii_lowercase[n]
-    sub = ",".join(f"z{c}" for c in letters)
-    return np.einsum(f"{sub},{letters}{out}->z{out}", *mats, A.coeffs, optimize=True)
+    """Evaluate at B argument tuples at once; mats[m] has shape (B, d_m).
+
+    A fixed contraction chain with no per-call path search: one matmul
+    folds slot 0 into the coefficient tensor, then each further slot is a
+    batched contraction over the rows. Returns shape (B, d_out).
+    """
+    if len(mats) != A.arity:
+        raise ValueError(f"expected {A.arity} argument matrices, got {len(mats)}")
+    dims = A.coeffs.shape
+    rows = mats[0].shape[0]
+    rest = A.coeffs.size // dims[0]
+    t = mats[0] @ A.coeffs.reshape(dims[0], rest)
+    for m in range(1, A.arity):
+        rest //= dims[m]
+        t = np.einsum("zi,zir->zr", mats[m], t.reshape(rows, dims[m], rest))
+    return t
 
 
 def _contract_all_but(A: MultiOp, xs: list[np.ndarray], m: int) -> np.ndarray:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -141,6 +142,8 @@ class SeqClassSpec:
 
 
 def _finite_exponent(p):
+    if isinstance(p, Fraction) and p.numerator >= p.denominator:
+        return p  # already normalized and finite
     p = as_exponent(p)
     if p == INF:
         raise ValueError("exponent must be finite; use the sup class for p = inf")

@@ -40,6 +40,8 @@ def as_exponent(q) -> Exponent:
     Finite values become `Fraction` (floats convert exactly via their binary
     expansion), infinity stays `math.inf`.
     """
+    if isinstance(q, Fraction) and q.numerator >= q.denominator:
+        return q  # already normalized; q >= 1 checked exactly
     if isinstance(q, str):
         if q.strip().lower() in ("inf", "infinity", "oo"):
             return INF

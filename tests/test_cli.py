@@ -95,6 +95,32 @@ def test_norm_malformed_input_exits_2(capsys):
     assert "error" in err
 
 
+def test_norm_non_finite_sequence_exits_2(capsys):
+    for seq in ("[[NaN,1],[1,2]]", "[[1,Infinity],[1,2]]", "[[1,2],[-Infinity,0]]"):
+        code, out, err = run_cli(
+            ["norm", "--class", "weak", "--p", "3/2", "--space", "l3:2", "--seq", seq],
+            capsys,
+        )
+        assert code == 2
+        assert "non-finite" in err
+        assert out == ""
+
+
+def test_ideal_non_finite_operator_exits_2(tmp_path, capsys):
+    for bad in (math.nan, math.inf, -math.inf):
+        doc = multiop_to_dict(diag_operator(2, 2, 2))
+        doc["coeffs"][1] = bad
+        op_path = tmp_path / "bad.json"
+        op_path.write_text(json.dumps(doc))
+        code, out, err = run_cli(
+            ["ideal", "--op-file", str(op_path), "--in-class", "strong", "--in-p", "1"],
+            capsys,
+        )
+        assert code == 2
+        assert "non-finite" in err
+        assert out == ""
+
+
 def test_norm_requires_exponent(capsys):
     code, _, err = run_cli(
         ["norm", "--class", "weak", "--space", "l2:2", "--seq", "[[1,0]]"], capsys

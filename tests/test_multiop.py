@@ -1,6 +1,7 @@
 """Tests for multilinear operators: evaluation, norms, composition, decoupling."""
 
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -91,6 +92,48 @@ def test_evaluate_batch_matches_pointwise():
     for i in range(7):
         one = evaluate(A, [Vector(A.domain[0], mats[0][i]), Vector(A.domain[1], mats[1][i])])
         np.testing.assert_allclose(batch[i], one.coords, rtol=1e-12)
+    # arities 1-3, empty to large batches, unit slot and output dimensions
+    shapes = [
+        ([3], 4), ([1], 1), ([4], 1),
+        ([3, 2], 4), ([1, 3], 1), ([3, 1], 2),
+        ([2, 3, 2], 3), ([3, 1, 2], 1), ([1, 1, 1], 1), ([4, 4, 4], 2),
+    ]
+    for dims, d_out in shapes:
+        A = random_op(rng, dims, d_out)
+        for B in (0, 1, 7, 1 << 14):
+            mats = [rng.standard_normal((B, d)) for d in dims]
+            batch = evaluate_batch(A, mats)
+            assert batch.shape == (B, d_out)
+            ref = np.array(
+                [evaluate(A, [Vector(s, x[i]) for s, x in zip(A.domain, mats)]).coords
+                 for i in range(B)]
+            ).reshape(B, d_out)
+            # atol covers entries that cancel to near zero
+            scale = np.abs(ref).max(initial=1.0)
+            np.testing.assert_allclose(batch, ref, rtol=1e-12, atol=1e-12 * scale)
+
+
+def test_evaluate_batch_does_not_plan_contractions(monkeypatch):
+    def no_planning(*args, **kwargs):
+        raise AssertionError("evaluate_batch must not plan a contraction path")
+
+    einsum_module = sys.modules[np.einsum.__wrapped__.__module__]
+    monkeypatch.setattr(np, "einsum_path", no_planning)
+    monkeypatch.setattr(einsum_module, "einsum_path", no_planning)
+    rng = np.random.default_rng(6)
+    for dims in ([3], [3, 2], [2, 3, 2], [4, 4, 4, 4]):
+        A = random_op(rng, dims, 3)
+        mats = [rng.standard_normal((5, d)) for d in dims]
+        batch = evaluate_batch(A, mats)
+        one = evaluate(A, [Vector(s, x[2]) for s, x in zip(A.domain, mats)])
+        np.testing.assert_allclose(batch[2], one.coords, rtol=1e-12)
+
+
+def test_evaluate_batch_arity_mismatch():
+    rng = np.random.default_rng(7)
+    A = random_op(rng, [3, 2], 2)
+    with pytest.raises(ValueError):
+        evaluate_batch(A, [rng.standard_normal((4, 3))])
 
 
 def test_finite_type_matrix_unit():
