@@ -47,26 +47,43 @@ def sphere_grid(d: int, qf: float, n: int = 512) -> np.ndarray:
     return pts
 
 
-def sign_patterns(k: int, fix_first: bool = False, block: int = DEFAULT_BLOCK) -> Iterator[np.ndarray]:
-    """Yield blocks of +-1 rows enumerating {-1,+1}^k.
+def _signed_sums(S: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """(d, 2^r) table whose column i is S + sum_j (+-1) rows[j], bit j of i giving the sign.
 
-    With `fix_first` the first coordinate is pinned to +1, halving the
-    enumeration; valid whenever the consumer is invariant under global
-    sign flips.
+    `S` is a (d, 1) column and `rows` is (r, d).
     """
-    if k == 0:
-        yield np.ones((1, 0))
+    for m in rows[:, :, None]:
+        S = np.concatenate([S - m, S + m], axis=1)
+    return S
+
+
+def sign_patterns(M: np.ndarray, fix_first: bool = False, block: int = DEFAULT_BLOCK) -> Iterator[np.ndarray]:
+    """Yield the signed sums eps @ M over eps in {-1,+1}^k, in (B, d) blocks.
+
+    Bit j of the pattern index sets eps_j, low bits fastest. With
+    `fix_first` eps_0 is pinned to +1, halving the enumeration; valid
+    whenever the consumer is invariant under global sign flips. Blocks hold
+    min(block, 2^free) rows, `block` being a power of two.
+    `sign_patterns(np.eye(k))` yields the +-1 patterns themselves.
+
+    Meet in the middle (Horowitz & Sahni, J. ACM 21, 1974): the partial
+    sums of the low log2(block) free signs and of the remaining high signs
+    are tabulated once, and each block is the low table plus one column of
+    the high table, so no (B, k) pattern matrix is ever built. Blocks are
+    transposed views of column-major tables: each row reduction runs
+    along contiguous memory.
+    """
+    M = np.asarray(M, dtype=float)
+    k, d = M.shape
+    first = 1 if fix_first and k else 0
+    lo = min(first + block.bit_length() - 1, k)
+    # copied: with no free low sign the start column is yielded as it is
+    low = _signed_sums(M[:1].T.copy() if first else np.zeros((d, 1)), M[first:lo])
+    if lo == k:
+        yield low.T  # a single block: the low table is the whole enumeration
         return
-    nfree = k - 1 if fix_first else k
-    total = 1 << nfree
-    shifts = np.arange(nfree, dtype=np.uint64)
-    for start in range(0, total, block):
-        idx = np.arange(start, min(start + block, total), dtype=np.uint64)
-        bits = (idx[:, None] >> shifts) & 1
-        pm = bits.astype(float) * 2.0 - 1.0
-        if fix_first:
-            pm = np.hstack([np.ones((pm.shape[0], 1)), pm])
-        yield pm
+    for h in _signed_sums(np.zeros((d, 1)), M[lo:]).T:
+        yield (low + h[:, None]).T
 
 
 def grid_scores(X: np.ndarray, grid: np.ndarray, pf: float) -> np.ndarray:

@@ -99,7 +99,10 @@ def _make_class_spec(cls: str, p) -> SeqClassSpec:
 def _load_sequence(args) -> VecSeq:
     if (args.seq is None) == (args.seq_file is None):
         raise _CliError("provide exactly one of --seq or --seq-file")
-    raw = args.seq if args.seq is not None else Path(args.seq_file).read_text()
+    try:
+        raw = args.seq if args.seq is not None else Path(args.seq_file).read_text()
+    except OSError as exc:
+        raise _CliError(f"cannot read sequence file: {exc}") from exc
     try:
         rows = json.loads(raw)
     except json.JSONDecodeError as exc:

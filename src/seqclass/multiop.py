@@ -142,7 +142,7 @@ def _slot_update(M: np.ndarray, q_m, q_out, x_old: np.ndarray) -> np.ndarray:
         return e
     if q_m == INF and d_m <= 16:
         best_val, best = -1.0, x_old
-        for block in sign_patterns(d_m, fix_first=True):
+        for block in sign_patterns(np.eye(d_m), fix_first=True):
             vals = lq_norm_rows(block @ M.T, float(q_out))
             i = int(np.argmax(vals))
             if vals[i] > best_val:
@@ -337,19 +337,14 @@ def decoupling_check(
         direct += evaluate(A, [s.vector(j) for s in seqs]).coords
 
     nfree = k * (n - 1)
-    total = 1 << nfree
     acc = np.zeros(A.codomain.dim)
-    block = 1 << 14
-    shifts = np.arange(nfree, dtype=np.uint64)
-    for start in range(0, total, block):
-        idx = np.arange(start, min(start + block, total), dtype=np.uint64)
-        bits = ((idx[:, None] >> shifts) & 1).astype(float) * 2.0 - 1.0
-        groups = [bits[:, l * k : (l + 1) * k] for l in range(n - 1)]
+    for signs in sign_patterns(np.eye(nfree), block=1 << 14):
+        groups = [signs[:, l * k : (l + 1) * k] for l in range(n - 1)]
         mats = [g @ seqs[l].mat for l, g in enumerate(groups)]
-        prod = np.ones((idx.size, k))
+        prod = np.ones((signs.shape[0], k))
         for g in groups:
             prod = prod * g
         mats.append(prod @ seqs[n - 1].mat)
         acc += evaluate_batch(A, mats).sum(axis=0)
-    avg = acc / total
+    avg = acc / (1 << nfree)
     return lq_norm(direct - avg, A.codomain.q)

@@ -286,27 +286,27 @@ def _weak_disjoint_value(X: np.ndarray, q, p: float) -> float:
     return float(val ** (1.0 / p))
 
 
+def _unit_scaled(X: np.ndarray) -> tuple[np.ndarray, int]:
+    """X * 2^-e with max|X * 2^-e| in [1/2, 1): exact, and no sum of k rows overflows."""
+    e = math.frexp(float(np.abs(X).max()))[1]
+    return np.ldexp(X, -e), e
+
+
 def _weak_sign_oracle(X: np.ndarray, q) -> float:
+    X, e = _unit_scaled(X)
     best = 0.0
-    for block in sign_patterns(X.shape[0], fix_first=True):
-        sums = block @ X
-        if q == INF:
-            vals = np.abs(sums).max(axis=1)
-        elif q == 1:
-            vals = np.abs(sums).sum(axis=1)
-        else:
-            vals = (np.abs(sums) ** float(q)).sum(axis=1) ** (1.0 / float(q))
-        best = max(best, float(vals.max()))
-    return best
+    for sums in sign_patterns(X, fix_first=True):
+        best = max(best, float(lq_norm_rows(sums, float(q)).max()))
+    return math.ldexp(best, e)
 
 
 def _weak_vertex_oracle(X: np.ndarray, p: float) -> float:
     # dual ball of l_1 is the l_inf ball: enumerate its vertices
+    X, e = _unit_scaled(X)
     best = 0.0
-    for block in sign_patterns(X.shape[1], fix_first=True):
-        vals = np.abs(block @ X.T)  # |phi(x_j)| per vertex per row
+    for vals in sign_patterns(X.T, fix_first=True):  # phi(x_j) per vertex per row
         best = max(best, float(lq_norm_rows(vals, p).max()))
-    return best
+    return math.ldexp(best, e)
 
 
 def lq_norm_rows(A: np.ndarray, q: float) -> np.ndarray:
@@ -384,14 +384,14 @@ def norm_rad(s: VecSeq, sign_cutoff: int = SIGN_CUTOFF) -> float:
         )
     if k == 0 or not s.mat.any():
         return 0.0
-    X = s.mat[s.mat.any(axis=1)]  # signs on zero vectors never matter
+    X, e = _unit_scaled(s.mat[s.mat.any(axis=1)])  # signs on zero vectors never matter
     q = s.space.q
     total, count = 0.0, 0
-    for block in sign_patterns(len(X), fix_first=True):
-        vals = lq_norm_rows(block @ X, float(q) if q != INF else INF)
+    for sums in sign_patterns(X, fix_first=True):
+        vals = lq_norm_rows(sums, float(q))
         total += float((vals * vals).sum())
-        count += block.shape[0]
-    return math.sqrt(total / count)
+        count += sums.shape[0]
+    return math.ldexp(math.sqrt(total / count), e)
 
 
 def norm_rad_prefix_sup(s: VecSeq, sign_cutoff: int = SIGN_CUTOFF) -> float:
@@ -457,7 +457,7 @@ def _cohen_lower(s: VecSeq, p: float, seed: int, hint: tuple | None = None) -> f
         return num / den
 
     if q == INF and s.space.dim <= SIGN_CUTOFF:
-        inf_vertices = np.vstack(list(sign_patterns(s.space.dim, fix_first=True)))
+        inf_vertices = np.vstack(list(sign_patterns(np.eye(s.space.dim), fix_first=True)))
     else:
         inf_vertices = None
 
@@ -543,7 +543,7 @@ def _dual_program_candidate(X: np.ndarray, p: float, q) -> np.ndarray | None:
     if pstar == math.inf:
         return None
     if qf == math.inf:
-        pts = np.vstack(list(sign_patterns(d, fix_first=True)))
+        pts = np.vstack(list(sign_patterns(np.eye(d), fix_first=True)))
         rounds = 1
     else:
         pts = sphere_grid(d, qf)
@@ -596,7 +596,7 @@ def _vertex_program_upper(X: np.ndarray, p: float) -> tuple[float, tuple]:
     from scipy import optimize
 
     k, d = X.shape
-    verts = np.vstack(list(sign_patterns(d, fix_first=True)))  # (V, d)
+    verts = np.vstack(list(sign_patterns(np.eye(d), fix_first=True)))  # (V, d)
     V = verts.shape[0]
     M = verts.T  # d x V; constraint: coeff @ M.T... per row j: verts.T @ a_j = X[j]
 

@@ -32,6 +32,11 @@ INF = math.inf
 
 Exponent = Union[Fraction, float]
 
+#: Range of a sum of squares that the unscaled q = 2 path trusts. Inside it
+#: no square overflowed, and each square that lost bits below 2^-1022 is
+#: under 2^-62 of the sum.
+_SS_MIN, _SS_MAX = 2.0**-960, 2.0**960
+
 
 def as_exponent(q) -> Exponent:
     """Normalize an exponent to an exact representation.
@@ -133,10 +138,13 @@ def lq_norm(coords: np.ndarray, q) -> float:
     if qf == 1.0:
         return float(a.sum())
     if qf == 2.0:
-        return float(np.sqrt((a * a).sum()))
+        ss = (a * a).sum()
+        if _SS_MIN <= ss <= _SS_MAX:
+            return math.sqrt(ss)
+        # the squares over- or underflowed: take the scaled route below
     m = a.max()
-    if m == 0.0:
-        return 0.0
+    if m == 0.0 or m == math.inf:
+        return float(m)
     # scale out the max to avoid overflow for large exponents
     return float(m * (((a / m) ** qf).sum()) ** (1.0 / qf))
 

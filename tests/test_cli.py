@@ -106,6 +106,17 @@ def test_norm_non_finite_sequence_exits_2(capsys):
         assert out == ""
 
 
+def test_norm_unreadable_seq_file_exits_2(tmp_path, capsys):
+    for path in (tmp_path / "missing.json", tmp_path):
+        code, out, err = run_cli(
+            ["norm", "--class", "sup", "--space", "l2:2", "--seq-file", str(path)],
+            capsys,
+        )
+        assert code == 2
+        assert "cannot read sequence file" in err
+        assert out == ""
+
+
 def test_ideal_non_finite_operator_exits_2(tmp_path, capsys):
     for bad in (math.nan, math.inf, -math.inf):
         doc = multiop_to_dict(diag_operator(2, 2, 2))

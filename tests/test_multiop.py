@@ -325,6 +325,15 @@ def test_decoupling_linear_is_exact():
     assert decoupling_check(A, seqs) <= 1e-14
 
 
+def test_decoupling_residual_scales_without_overflow():
+    rng = np.random.default_rng(19)
+    A = random_op(rng, [3, 2], 2)
+    seqs = [VecSeq(s, rng.standard_normal((6, s.dim))) for s in A.domain]
+    for c in (2.0**600, 2.0**-600):
+        scaled = [VecSeq(seqs[0].space, c * seqs[0].mat), seqs[1]]
+        assert decoupling_check(A, scaled) <= 1e-10 * c
+
+
 def test_decoupling_budget_guard():
     rng = np.random.default_rng(18)
     A = random_op(rng, [2, 2, 2], 2)

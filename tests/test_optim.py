@@ -1,0 +1,57 @@
+"""Tests for the meet-in-the-middle sign enumerator."""
+
+import numpy as np
+import pytest
+
+from seqclass._optim import sign_patterns
+
+
+def bit_patterns(k, fix_first, block):
+    """Reference: expand the bits of each pattern index, low bits fastest."""
+    nfree = k - 1 if fix_first and k else k
+    total = 1 << nfree
+    for start in range(0, total, block):
+        idx = np.arange(start, min(start + block, total))
+        pm = ((idx[:, None] >> np.arange(nfree)) & 1) * 2.0 - 1.0
+        if fix_first and k:
+            pm = np.hstack([np.ones((len(idx), 1)), pm])
+        yield pm
+
+
+@pytest.mark.parametrize("block", [1 << 14, 1 << 15])
+@pytest.mark.parametrize("fix_first", [False, True])
+def test_identity_yields_the_sign_patterns(fix_first, block):
+    for k in range(18):
+        want = list(bit_patterns(k, fix_first, block))
+        got = list(sign_patterns(np.eye(k), fix_first, block))
+        assert len(got) == len(want), k
+        for g, w in zip(got, want):
+            assert g.shape == w.shape, k
+            assert np.array_equal(g, w), k
+
+
+def test_sums_match_pattern_products():
+    rng = np.random.default_rng(51)
+    for k in range(21):
+        for d in (1, 2, 6):
+            X = rng.standard_normal((k, d))
+            fix_first = bool(k % 2)
+            blocks = list(sign_patterns(X, fix_first))
+            refs = [pm @ X for pm in bit_patterns(k, fix_first, 1 << 15)]
+            assert len(blocks) == len(refs)
+            scale = max(np.abs(r).max() for r in refs)
+            for got, ref in zip(blocks, refs):
+                assert got.shape == ref.shape
+                assert np.abs(got - ref).max() <= 1e-14 * scale, (k, d)
+
+
+def test_no_pattern_matrix_at_k20():
+    X = np.random.default_rng(52).standard_normal((20, 3))
+    for fix_first, count in ((False, 32), (True, 16)):
+        shapes = [b.shape for b in sign_patterns(X, fix_first)]
+        assert shapes == [(1 << 15, 3)] * count
+
+
+def test_empty_sum():
+    blocks = list(sign_patterns(np.zeros((0, 4)), fix_first=True))
+    assert len(blocks) == 1 and np.array_equal(blocks[0], np.zeros((1, 4)))

@@ -239,6 +239,32 @@ def test_rad_hilbert_identity():
         assert abs(norm_rad(s) - norm_strong_p(s, 2)) <= 1e-12 * max(1, norm_rad(s))
 
 
+EXTREME_SCALES = (2.0**600, 2.0**-600, 1e200, 1e-200)
+
+
+def test_sign_enumerators_homogeneous_at_extreme_scales():
+    # the Rad, weak-1 sign and dual l_inf vertex enumerations must not
+    # overflow or underflow wherever the scaled value is a float
+    rng = np.random.default_rng(43)
+    cases = [("rad", q) for q in (1, Fraction(3, 2), 2, 3, INF)]
+    cases += [("sign-enumeration", q) for q in (1, Fraction(3, 2), 2, 3)]
+    cases += [("dual-linf-vertices", 1)]
+    for method, q in cases:
+        s = random_seq(rng, 14, 3, q)
+
+        def value(t):
+            if method == "rad":
+                return norm_rad(t)
+            b = norm_weak_p(t, 1 if method == "sign-enumeration" else Fraction(3, 2))
+            assert b.method == method
+            return b.upper
+
+        ref = value(s)
+        for c in EXTREME_SCALES:
+            got = value(VecSeq(s.space, c * s.mat))
+            assert abs(got - c * ref) <= 1e-12 * c * ref, (method, q, c)
+
+
 def test_rad_prefix_sup_equals_rad():
     rng = np.random.default_rng(41)
     for _ in range(40):

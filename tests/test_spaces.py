@@ -14,6 +14,7 @@ from seqclass.spaces import (
     Vector,
     as_exponent,
     conjugate_exponent,
+    lq_norm,
     norming_functional,
     pairing,
     vector_norm,
@@ -26,6 +27,17 @@ def test_vector_norm_examples():
     assert vector_norm(Vector(Space(3, 2), [3, 4, 0])) == pytest.approx(5.0, abs=1e-12)
     assert vector_norm(Vector(Space(2, INF), [-2, 1])) == pytest.approx(2.0, abs=1e-12)
     assert vector_norm(Vector(Space(4, 1), [1, 1, 1, 1])) == pytest.approx(4.0, abs=1e-12)
+
+
+def test_lq_norm_q2_no_overflow_or_underflow():
+    for c in (1e200, 1e-200, 2.0**600, 2.0**-600):
+        got = lq_norm(np.array([c, c]), 2)
+        assert abs(got - math.sqrt(2) * c) <= 1e-15 * math.sqrt(2) * c
+    # inside the safe range the fast path is the plain root of the squares
+    v = np.random.default_rng(7).standard_normal(9)
+    assert lq_norm(v, 2) == float(np.sqrt((v * v).sum()))
+    assert lq_norm(np.array([0.0, -0.0]), 2) == 0.0
+    assert lq_norm(np.array([1.0, INF]), 2) == INF
 
 
 def test_conjugate_exponent_examples():
