@@ -1,4 +1,4 @@
-"""Internal search primitives: sign enumeration, sphere grids, projected ascent.
+"""Internal search primitives: sign enumeration, sphere grids, dual updates, projected ascent.
 
 All routines are pure functions of their inputs and the supplied RNG, so a
 fixed seed reproduces results bit for bit (single-threaded).
@@ -12,7 +12,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .spaces import dual_witness, lq_norm
+from .spaces import dual_direction, dual_witness, lq_norm
 
 DEFAULT_BLOCK = 1 << 15
 
@@ -38,11 +38,7 @@ def sphere_grid(d: int, qf: float, n: int = 512) -> np.ndarray:
         pts = np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1)
     else:
         raise ValueError("sphere grid only tabulated for d <= 3")
-    if qf == math.inf:
-        scales = np.abs(pts).max(axis=1)
-    else:
-        scales = (np.abs(pts) ** qf).sum(axis=1) ** (1.0 / qf)
-    pts = pts / scales[:, None]
+    pts = pts / lq_norm(pts, qf, axis=1)[:, None]
     pts.flags.writeable = False
     return pts
 
@@ -86,16 +82,29 @@ def sign_patterns(M: np.ndarray, fix_first: bool = False, block: int = DEFAULT_B
         yield (low + h[:, None]).T
 
 
-def grid_scores(X: np.ndarray, grid: np.ndarray, pf: float) -> np.ndarray:
-    """||X g||_p for every grid row g, in one pass."""
-    vals = np.abs(X @ grid.T)  # (k, G)
-    if pf == math.inf:
-        return vals.max(axis=0)
-    if pf == 1.0:
-        return vals.sum(axis=0)
-    if pf == 2.0:
-        return np.sqrt((vals * vals).sum(axis=0))
-    return (vals ** pf).sum(axis=0) ** (1.0 / pf)
+def power_iterate(
+    M: np.ndarray, ball_q, p, x: np.ndarray, f: float, iters: int
+) -> tuple[np.ndarray, float]:
+    """Monotone dual updates for max ||M x||_p over the l_{ball_q} unit ball.
+
+    Boyd's power method (D. W. Boyd, Linear Algebra Appl. 9, 1974; N. J.
+    Higham, Numer. Math. 62, 1992): x moves to the ball point that best
+    pairs with the gradient of ||M .||_p at x, for at most `iters` steps
+    and only while f = ||M x||_p rises by more than 1e-15 relative (an
+    absolute threshold would stop every search on a matrix scaled by
+    2^-600). Returns the last accepted (x, f), so f never falls below its
+    start.
+    """
+    for _ in range(iters):
+        g = M.T @ dual_direction(M @ x, p)
+        if not g.any():
+            break
+        cand = dual_witness(g, ball_q)
+        fc = lq_norm(M @ cand, p)
+        if fc <= f * (1.0 + 1e-15):
+            break
+        x, f = cand, fc
+    return x, f
 
 
 def weak_p_ascent(
@@ -112,24 +121,15 @@ def weak_p_ascent(
 
     Projected gradient ascent with step halving, restarted from uniform
     random directions plus the per-row dual witnesses, then polished by
-    monotone alternating dual updates. The objective is convex in phi, so
-    the maximum sits on the sphere; restarts make the boundary search
-    reliable at small dimension.
+    `power_iterate`. The objective is convex in phi, so the maximum sits on
+    the sphere; restarts make the boundary search reliable at small
+    dimension.
     """
     k, d = X.shape
     pf = float(p)
 
     def obj(phi: np.ndarray) -> float:
         return lq_norm(X @ phi, pf)
-
-    def weight(r: np.ndarray) -> np.ndarray:
-        if pf == 1.0:
-            return np.sign(r)
-        a = np.abs(r)
-        m = a.max()
-        if m == 0.0:
-            return np.zeros_like(r)
-        return np.sign(r) * (a / m) ** (pf - 1.0)
 
     starts: list[np.ndarray] = []
     nrows = k if row_starts is None else min(k, row_starts)
@@ -139,7 +139,7 @@ def weak_p_ascent(
     if d <= 3:
         # brace the restarts with the best points of a deterministic grid
         grid = sphere_grid(d, float(ball_q))
-        scores = grid_scores(X, grid, pf)
+        scores = lq_norm(X @ grid.T, pf, axis=0)
         for i in np.argsort(scores)[-3:]:
             starts.append(grid[i])
     for _ in range(restarts):
@@ -155,7 +155,7 @@ def weak_p_ascent(
         phi = phi0
         f = obj(phi)
         for _ in range(iters):
-            g = X.T @ weight(X @ phi)
+            g = X.T @ dual_direction(X @ phi, pf)
             gn = float(np.linalg.norm(g))
             if gn == 0.0:
                 break
@@ -173,17 +173,7 @@ def weak_p_ascent(
                 t *= 0.5
             if accepted == 0.0 or accepted < tol:
                 break
-        # alternating dual polish: monotone, lands on a ball extreme point
-        for _ in range(40):
-            g = X.T @ weight(X @ phi)
-            if not g.any():
-                break
-            cand = dual_witness(g, ball_q)
-            fc = obj(cand)
-            if fc > f + 1e-15:
-                phi, f = cand, fc
-            else:
-                break
+        phi, f = power_iterate(X, ball_q, pf, phi, f, 40)
         if f > best_val:
             best_val, best_phi = f, phi
     return max(best_val, 0.0), best_phi

@@ -77,7 +77,10 @@ def _build_parser() -> argparse.ArgumentParser:
     run = ssub.add_parser("run", help="run a suite by name or config path")
     run.add_argument("target", help="suite name or config.json path")
     run.add_argument("--seed", type=int, help="override the config seed")
-    run.add_argument("--serial", action="store_true", help="single-threaded, deterministic order")
+    run.add_argument(
+        "--serial", action="store_true",
+        help="accepted for compatibility; suites always run serially",
+    )
     run.add_argument("--out", help="write the JSON report here")
     run.add_argument("--csv", help="write ratio curves as CSV here")
     run.add_argument("--json", action="store_true", help="print JSON instead of the table")
@@ -198,7 +201,7 @@ def _cmd_suite_run(args) -> int:
     if args.seed is not None:
         config["seed"] = args.seed
     try:
-        report = run_suite(config, serial=args.serial)
+        report = run_suite(config)
     except KeyError as exc:
         raise _CliError(str(exc)) from exc
 

@@ -8,15 +8,14 @@ an explicit witness tuple, the upper end combines a rigorous coefficient
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from ._optim import sign_patterns
-from .spaces import INF, Space, Vector, as_exponent, conjugate_exponent, dual_witness, lq_norm
-from .seqnorm import ASCENT_SLACK, SIGN_CUTOFF, NormBracket, VecSeq, lq_norm_rows
+from ._optim import power_iterate, sign_patterns
+from .spaces import INF, Space, Vector, as_exponent, conjugate_exponent, lq_norm
+from .seqnorm import ASCENT_SLACK, SIGN_CUTOFF, NormBracket, VecSeq
 
 __all__ = [
     "MultiOp",
@@ -114,19 +113,11 @@ def _contract_all_but(A: MultiOp, xs: list[np.ndarray], m: int) -> np.ndarray:
     return t.T
 
 
-def _axis_lq(T: np.ndarray, q, axis: int) -> np.ndarray:
-    a = np.abs(T)
-    qf = float(q)
-    if qf == math.inf:
-        return a.max(axis=axis)
-    return (a ** qf).sum(axis=axis) ** (1.0 / qf)
-
-
 def holder_coefficient_bound(A: MultiOp) -> float:
     """Rigorous upper bound: iterated Hoelder on the absolute coefficients."""
     T = np.abs(A.coeffs)
     for m in range(A.arity - 1, -1, -1):
-        T = _axis_lq(T, conjugate_exponent(A.domain[m].q), axis=m)
+        T = lq_norm(T, conjugate_exponent(A.domain[m].q), axis=m)
     return lq_norm(T, A.codomain.q)
 
 
@@ -136,14 +127,13 @@ def _slot_update(M: np.ndarray, q_m, q_out, x_old: np.ndarray) -> np.ndarray:
     if not M.any():
         return x_old
     if q_m == 1:
-        norms = [lq_norm(M[:, i], q_out) for i in range(d_m)]
         e = np.zeros(d_m)
-        e[int(np.argmax(norms))] = 1.0
+        e[int(np.argmax(lq_norm(M, q_out, axis=0)))] = 1.0
         return e
     if q_m == INF and d_m <= 16:
         best_val, best = -1.0, x_old
         for block in sign_patterns(np.eye(d_m), fix_first=True):
-            vals = lq_norm_rows(block @ M.T, float(q_out))
+            vals = lq_norm(block @ M.T, q_out, axis=1)
             i = int(np.argmax(vals))
             if vals[i] > best_val:
                 best_val, best = float(vals[i]), block[i]
@@ -151,34 +141,7 @@ def _slot_update(M: np.ndarray, q_m, q_out, x_old: np.ndarray) -> np.ndarray:
     if q_m == 2 and q_out == 2:
         _, _, vt = np.linalg.svd(M, full_matrices=False)
         return vt[0]
-    # generic slot: monotone alternating dual updates
-    x = x_old
-    f = lq_norm(M @ x, q_out)
-    qo = float(q_out) if q_out != INF else math.inf
-    for _ in range(20):
-        r = M @ x
-        a = np.abs(r)
-        mx = a.max()
-        if mx == 0.0:
-            break
-        if qo == math.inf:
-            w = np.zeros_like(r)
-            i = int(np.argmax(a))
-            w[i] = math.copysign(1.0, r[i])
-        elif qo == 1.0:
-            w = np.sign(r)
-        else:
-            w = np.sign(r) * (a / mx) ** (qo - 1.0)
-        g = M.T @ w
-        if not g.any():
-            break
-        cand = dual_witness(g, q_m)
-        fc = lq_norm(M @ cand, q_out)
-        if fc > f + 1e-15:
-            x, f = cand, fc
-        else:
-            break
-    return x
+    return power_iterate(M, q_m, q_out, x_old, lq_norm(M @ x_old, q_out), 20)[0]
 
 
 def op_norm(

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._optim import grid_scores, sign_patterns, sphere_grid, weak_p_ascent
+from ._optim import power_iterate, sign_patterns, sphere_grid, weak_p_ascent
 from .spaces import INF, Space, Vector, as_exponent, conjugate_exponent, dual_witness, lq_norm
 
 __all__ = [
@@ -169,7 +169,9 @@ class NormBracket:
         lo, up = float(self.lower), float(self.upper)
         if lo < 0.0 and lo > -1e-12:
             lo = 0.0
-        if lo > up:
+        if not lo <= up:  # lo > up, or an end is NaN
+            if math.isnan(lo) or math.isnan(up):
+                raise ValueError(f"bracket [{lo}, {up}] has a NaN end")
             if lo - up > 1e-9 * max(1.0, abs(up)):
                 raise ValueError(f"invalid bracket [{lo}, {up}]")
             lo = up
@@ -204,10 +206,16 @@ class NormBracket:
 # ---------------------------------------------------------------------------
 
 def norm_sup(s: VecSeq) -> float:
-    """max_j ||x_j||; 0 on the empty sequence."""
+    """max_j ||x_j||; 0 on the empty sequence.
+
+    This and `norm_strong_p` scale by an exact power of two first, so the
+    scales that the weak-p and Cohen searches divide by are exactly
+    homogeneous.
+    """
     if len(s) == 0:
         return 0.0
-    return max(lq_norm(row, s.space.q) for row in s.mat)
+    X, e = _unit_scaled(s.mat)
+    return math.ldexp(float(lq_norm(X, s.space.q, axis=1).max()), e)
 
 
 def norm_strong_p(s: VecSeq, p) -> float:
@@ -215,51 +223,13 @@ def norm_strong_p(s: VecSeq, p) -> float:
     p = float(_finite_exponent(p))
     if len(s) == 0:
         return 0.0
-    norms = np.array([lq_norm(row, s.space.q) for row in s.mat])
-    return lq_norm(norms, p)
+    X, e = _unit_scaled(s.mat)
+    return math.ldexp(lq_norm(lq_norm(X, s.space.q, axis=1), p), e)
 
 
 # ---------------------------------------------------------------------------
 # weak-p
 # ---------------------------------------------------------------------------
-
-def _weak_dual_iterate(X: np.ndarray, ball_q, p: float, iters: int = 14) -> float:
-    """Cheap weak-p value: grid bracing plus monotone alternating dual updates."""
-    best = 0.0
-    d = X.shape[1]
-    if d <= 3:
-        grid = sphere_grid(d, float(ball_q))
-        scores = grid_scores(X, grid, p)
-        i = int(np.argmax(scores))
-        best = float(scores[i])
-        starts = [grid[i]]
-        iters = 4  # the grid already lands next to the maximizer
-    else:
-        row = X[int(np.argmax(lq_norm_rows(X, 2.0)))]
-        starts = [dual_witness(row, ball_q), dual_witness(X.sum(axis=0), ball_q)]
-    for phi in starts:
-        if not phi.any():
-            continue
-        f = lq_norm(X @ phi, p)
-        for _ in range(iters):
-            r = X @ phi
-            a = np.abs(r)
-            m = a.max()
-            if m == 0.0:
-                break
-            w = np.sign(r) if p == 1.0 else np.sign(r) * (a / m) ** (p - 1.0)
-            g = X.T @ w
-            if not g.any():
-                break
-            cand = dual_witness(g, ball_q)
-            fc = lq_norm(X @ cand, p)
-            if fc > f + 1e-15:
-                phi, f = cand, fc
-            else:
-                break
-        best = max(best, f)
-    return best
-
 
 def _rows_disjoint(X: np.ndarray) -> bool:
     support = X != 0.0
@@ -269,21 +239,10 @@ def _rows_disjoint(X: np.ndarray) -> bool:
 def _weak_disjoint_value(X: np.ndarray, q, p: float) -> float:
     # rows with pairwise disjoint supports decouple: each row j can absorb
     # a dual-ball budget t_j on its own coordinates, contributing
-    # (t_j ||x_j||_q)^p; optimizing the budget split has a closed form
-    a = np.array([lq_norm(row, q) for row in X], dtype=float)
-    if not a.any():
-        return 0.0
-    qstar = conjugate_exponent(q)
-    ap = a ** p
-    if qstar == INF:
-        return float(ap.sum() ** (1.0 / p))
-    r = p / float(qstar)
-    if r >= 1.0:
-        return float(a.max())
-    u = 1.0 / (1.0 - r)
-    m = ap.max()
-    val = m * ((ap / m) ** u).sum() ** (1.0 / u)
-    return float(val ** (1.0 / p))
+    # (t_j ||x_j||_q)^p; the best budget split gives the l_s norm of the
+    # row norms, 1/s = max(1/p - 1/q*, 0)
+    r = p / float(conjugate_exponent(q))
+    return lq_norm(lq_norm(X, q, axis=1), p / (1.0 - r) if r < 1.0 else INF)
 
 
 def _unit_scaled(X: np.ndarray) -> tuple[np.ndarray, int]:
@@ -296,7 +255,7 @@ def _weak_sign_oracle(X: np.ndarray, q) -> float:
     X, e = _unit_scaled(X)
     best = 0.0
     for sums in sign_patterns(X, fix_first=True):
-        best = max(best, float(lq_norm_rows(sums, float(q)).max()))
+        best = max(best, float(lq_norm(sums, q, axis=1).max()))
     return math.ldexp(best, e)
 
 
@@ -305,20 +264,8 @@ def _weak_vertex_oracle(X: np.ndarray, p: float) -> float:
     X, e = _unit_scaled(X)
     best = 0.0
     for vals in sign_patterns(X.T, fix_first=True):  # phi(x_j) per vertex per row
-        best = max(best, float(lq_norm_rows(vals, p).max()))
+        best = max(best, float(lq_norm(vals, p, axis=1).max()))
     return math.ldexp(best, e)
-
-
-def lq_norm_rows(A: np.ndarray, q: float) -> np.ndarray:
-    """Row-wise l_q norms of a matrix (q finite or INF)."""
-    a = np.abs(A)
-    if q == INF:
-        return a.max(axis=1) if a.shape[1] else np.zeros(a.shape[0])
-    if q == 1.0:
-        return a.sum(axis=1)
-    if q == 2.0:
-        return np.sqrt((a * a).sum(axis=1))
-    return (a ** q).sum(axis=1) ** (1.0 / q)
 
 
 def norm_weak_p(
@@ -347,7 +294,7 @@ def norm_weak_p(
         return NormBracket.exact_value(lq_norm(X[0], q), "singleton", seed)
     if q == INF:
         # extreme points of the dual l_1 ball are +-e_i
-        val = float(lq_norm_rows(np.abs(X).T, p).max())
+        val = float(lq_norm(X, p, axis=0).max())
         return NormBracket.exact_value(val, "dual-l1-extreme-points", seed)
     if _rows_disjoint(X):
         return NormBracket.exact_value(_weak_disjoint_value(X, q, p), "disjoint-support", seed)
@@ -388,7 +335,7 @@ def norm_rad(s: VecSeq, sign_cutoff: int = SIGN_CUTOFF) -> float:
     q = s.space.q
     total, count = 0.0, 0
     for sums in sign_patterns(X, fix_first=True):
-        vals = lq_norm_rows(sums, float(q))
+        vals = lq_norm(sums, q, axis=1)
         total += float((vals * vals).sum())
         count += sums.shape[0]
     return math.ldexp(math.sqrt(total / count), e)
@@ -407,21 +354,20 @@ def norm_rad_mc(s: VecSeq, samples: int, seed: int = 0) -> NormBracket:
         raise ValueError("samples must be >= 1")
     if len(s) == 0 or not s.mat.any():
         return NormBracket.exact_value(0.0, "zero", seed)
-    X = s.mat[s.mat.any(axis=1)]
+    X, e = _unit_scaled(s.mat[s.mat.any(axis=1)])
     k = len(X)
     rng = np.random.default_rng(seed)
-    q = s.space.q
     sq = np.empty(samples)
     block = 1 << 14
     for start in range(0, samples, block):
         n = min(block, samples - start)
         signs = rng.integers(0, 2, size=(n, k)).astype(float) * 2.0 - 1.0
-        vals = lq_norm_rows(signs @ X, float(q) if q != INF else INF)
+        vals = lq_norm(signs @ X, s.space.q, axis=1)
         sq[start : start + n] = vals * vals
     mean = float(sq.mean())
     sem = float(sq.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
-    lower = math.sqrt(max(mean - 3.0 * sem, 0.0))
-    upper = math.sqrt(mean + 3.0 * sem)
+    lower = math.ldexp(math.sqrt(max(mean - 3.0 * sem, 0.0)), e)
+    upper = math.ldexp(math.sqrt(mean + 3.0 * sem), e)
     return NormBracket(lower, upper, False, f"monte-carlo[n={samples}]", seed)
 
 
@@ -442,6 +388,7 @@ def _cohen_lower(s: VecSeq, p: float, seed: int, hint: tuple | None = None) -> f
     qstar = conjugate_exponent(q)
     dual_space = s.space.dual
     pstar = conjugate_exponent(as_exponent(p))
+    pv = float(pstar)
 
     exact_inner = q == INF or q == 1  # the inner dual ball enumerates exactly
 
@@ -469,22 +416,29 @@ def _cohen_lower(s: VecSeq, p: float, seed: int, hint: tuple | None = None) -> f
             return 0.0
         if inf_vertices is not None:
             # the inner dual ball is the l_inf cube: exact in one matmul
-            pv = float(pstar)
-            den = float(((np.abs(Phi @ inf_vertices.T) ** pv).sum(axis=0) ** (1.0 / pv)).max())
+            den = float(lq_norm(Phi @ inf_vertices.T, pv, axis=0).max())
             return num / den if den > 0 else 0.0
         if exact_inner:
             return value(Phi, 1)
-        val = _weak_dual_iterate(Phi, q, float(pstar))
-        den = min(
-            val * (1.0 + ASCENT_SLACK),
-            lq_norm(lq_norm_rows(Phi, float(qstar)), float(pstar)),
-        )
+        # cheap weak-p* value: the best grid point (d <= 3) or the peak-row
+        # and column-sum witnesses, each polished by a few dual updates
+        if d <= 3:
+            grid = sphere_grid(d, float(q))
+            scores = lq_norm(Phi @ grid.T, pv, axis=0)
+            i = int(np.argmax(scores))
+            val, starts, iters = float(scores[i]), [grid[i]], 4
+        else:
+            row = Phi[int(np.argmax(lq_norm(Phi, 2, axis=1)))]
+            starts = [dual_witness(row, q), dual_witness(Phi.sum(axis=0), q)]
+            val, iters = 0.0, 14
+        for phi in starts:
+            if phi.any():
+                val = max(val, power_iterate(Phi, q, pv, phi, lq_norm(Phi @ phi, pv), iters)[1])
+        den = min(val * (1.0 + ASCENT_SLACK), lq_norm(lq_norm(Phi, qstar, axis=1), pv))
         return num / den if den > 0 else 0.0
 
-    row_norms = np.array([lq_norm(row, q) for row in X])
-    witnesses = np.stack(
-        [dual_witness(row, qstar) if row.any() else np.zeros(d) for row in X]
-    )
+    row_norms = lq_norm(X, q, axis=1)
+    witnesses = np.stack([dual_witness(row, qstar) for row in X])
     candidates = [witnesses]
     if d <= 3:
         prog = _dual_program_candidate(X, float(p), q)
@@ -504,7 +458,7 @@ def _cohen_lower(s: VecSeq, p: float, seed: int, hint: tuple | None = None) -> f
         if keep:
             A, B = A[keep], B[keep]
             psi = np.stack([dual_witness(b, qstar) for b in B])
-            targets = psi * np.array([lq_norm(a, p) for a in A])[:, None]
+            targets = psi * lq_norm(A, p, axis=1)[:, None]
             T = targets.T @ np.linalg.pinv(A.T)  # d x k
             candidates.append(T.T)
 
@@ -558,9 +512,7 @@ def _dual_program_candidate(X: np.ndarray, p: float, q) -> np.ndarray | None:
             return -float(z.reshape(k, d).ravel() @ X.ravel())
 
         def cons_fun(z):
-            Phi = z.reshape(k, d)
-            vals = (np.abs(Phi @ acts.T) ** pstar).sum(axis=0) ** (1.0 / pstar)
-            return 1.0 - vals
+            return 1.0 - lq_norm(z.reshape(k, d) @ acts.T, pstar, axis=0)
 
         res = optimize.minimize(
             neg_obj, phi0, method="SLSQP",
@@ -571,7 +523,7 @@ def _dual_program_candidate(X: np.ndarray, p: float, q) -> np.ndarray | None:
             return None
         phi0 = res.x
         Phi = res.x.reshape(k, d)
-        scores = (np.abs(Phi @ pts.T) ** pstar).sum(axis=0) ** (1.0 / pstar)
+        scores = lq_norm(Phi @ pts.T, pstar, axis=0)
         worst = np.argsort(scores)[-8:]
         if scores[worst[-1]] <= 1.0 + 1e-9:
             break
@@ -580,8 +532,7 @@ def _dual_program_candidate(X: np.ndarray, p: float, q) -> np.ndarray | None:
 
 
 def _decomposition_cost(A: np.ndarray, B: np.ndarray, p: float, q) -> float:
-    qf = float(q)
-    return float((lq_norm_rows(A, p) * lq_norm_rows(B, qf)).sum())
+    return float((lq_norm(A, p, axis=1) * lq_norm(B, q, axis=1)).sum())
 
 
 def _vertex_program_upper(X: np.ndarray, p: float) -> tuple[float, tuple]:
@@ -716,7 +667,7 @@ def _cohen_upper(s: VecSeq, p: float, seed: int) -> tuple[float, tuple]:
             return (
                 peel_cost
                 + abs(c) * lq_norm(u1, p) * lq_norm(v1, qf)
-                + float(lq_norm_rows(resid, qf).sum())
+                + float(lq_norm(resid, qf, axis=1).sum())
             )
 
         cs = ss[0] * np.linspace(0.0, 1.4, 15)
@@ -727,7 +678,7 @@ def _cohen_upper(s: VecSeq, p: float, seed: int) -> tuple[float, tuple]:
         peels.append((c * u1, v1.copy()))
         peel_cost += c * lq_norm(u1, p) * lq_norm(v1, qf)
         Y = Y - c * np.outer(u1, v1)
-        total = peel_cost + float(lq_norm_rows(Y, qf).sum())
+        total = peel_cost + float(lq_norm(Y, qf, axis=1).sum())
         if total < best:
             A = np.vstack([np.stack([a for a, _ in peels]), np.eye(k)])
             B = np.vstack([np.stack([b for _, b in peels]), Y])
@@ -756,7 +707,7 @@ def norm_cohen(s: VecSeq, p, seed: int = 0) -> NormBracket:
     if k == 1:
         return NormBracket.exact_value(lq_norm(X[0], q), "singleton", seed)
     if q == 1:
-        val = float(sum(lq_norm(X[:, i], float(p)) for i in range(s.space.dim)))
+        val = float(lq_norm(X, p, axis=0).sum())
         return NormBracket.exact_value(val, "l1-factor-columns", seed)
     if p == 2 and q == 2:
         val = float(np.linalg.svd(X, compute_uv=False).sum())

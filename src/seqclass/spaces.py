@@ -32,10 +32,10 @@ INF = math.inf
 
 Exponent = Union[Fraction, float]
 
-#: Range of a sum of squares that the unscaled q = 2 path trusts. Inside it
-#: no square overflowed, and each square that lost bits below 2^-1022 is
+#: Range of a power sum sum_i |a_i|^q that `lq_norm` trusts unscaled. Inside
+#: it no power overflowed, and each power that lost bits below 2^-1022 is
 #: under 2^-62 of the sum.
-_SS_MIN, _SS_MAX = 2.0**-960, 2.0**960
+_POW_MIN, _POW_MAX = 2.0**-960, 2.0**960
 
 
 def as_exponent(q) -> Exponent:
@@ -127,26 +127,39 @@ class Vector:
         return f"Vector({self.space!r}, {self.coords.tolist()})"
 
 
-def lq_norm(coords: np.ndarray, q) -> float:
-    """l_q norm of a coordinate array (array-level workhorse)."""
-    a = np.abs(np.asarray(coords, dtype=float))
-    if a.size == 0:
-        return 0.0
+def lq_norm(a, q, axis=None):
+    """l_q norm of an array, or the l_q norms of its slices along `axis`.
+
+    Returns a float for ``axis=None`` and an array of slice norms
+    otherwise; empty slices have norm 0. For 1 < q < inf the power sums
+    are taken unscaled, and a slice whose sum leaves [`_POW_MIN`,
+    `_POW_MAX`] is recomputed with its own max scaled out. Where 1/q is
+    inexact in floating point the unscaled root is off by up to
+    2^-53 |ln sum| relative (under 1e-13); callers that need exact
+    homogeneity scale by a power of two first.
+    """
+    a = np.abs(np.asarray(a, dtype=float))
     qf = float(q)
     if qf == math.inf:
-        return float(a.max())
-    if qf == 1.0:
-        return float(a.sum())
-    if qf == 2.0:
-        ss = (a * a).sum()
-        if _SS_MIN <= ss <= _SS_MAX:
-            return math.sqrt(ss)
-        # the squares over- or underflowed: take the scaled route below
-    m = a.max()
-    if m == 0.0 or m == math.inf:
-        return float(m)
-    # scale out the max to avoid overflow for large exponents
-    return float(m * (((a / m) ** qf).sum()) ** (1.0 / qf))
+        n = a.max(axis, initial=0.0)
+    elif qf == 1.0:
+        n = a.sum(axis)
+    else:
+        s = (a * a if qf == 2.0 else a ** qf).sum(axis)
+        if axis is None and _POW_MIN <= s <= _POW_MAX:
+            return math.sqrt(s) if qf == 2.0 else float(s ** (1.0 / qf))
+        n = np.sqrt(s) if qf == 2.0 else s ** (1.0 / qf)
+        if not (_POW_MIN <= s.min(initial=math.inf) and s.max(initial=0.0) <= _POW_MAX):
+            n = np.where((s >= _POW_MIN) & (s <= _POW_MAX), n, _max_scaled(a, qf, axis))
+    return float(n) if axis is None else n
+
+
+def _max_scaled(a: np.ndarray, qf: float, axis):
+    """Slice norms of |entries| `a` with each slice's max scaled out; 0 and inf pass through."""
+    m = a.max(axis, keepdims=True, initial=0.0)
+    unit = np.where((m > 0.0) & (m < math.inf), m, 1.0)
+    n = unit * ((a / unit) ** qf).sum(axis, keepdims=True) ** (1.0 / qf)
+    return np.squeeze(np.where(unit == m, n, m), axis)
 
 
 def vector_norm(v: Vector) -> float:
@@ -166,30 +179,42 @@ def pairing(phi: Vector, x: Vector) -> float:
     return float(phi.coords @ x.coords)
 
 
+def dual_direction(r: np.ndarray, p) -> np.ndarray:
+    """A positive multiple of the gradient of ||.||_p at r (0 at r = 0).
+
+    The sign vector for p = 1, a signed one-hot at the first peak for
+    p = inf, and sign(r) (|r| / max|r|)^(p-1) otherwise.
+    """
+    r = np.asarray(r, dtype=float)
+    pf = float(p)
+    if pf == 1.0:
+        return np.sign(r)
+    a = np.abs(r)
+    i = int(np.argmax(a))
+    if a[i] == 0.0:
+        return np.zeros_like(r)
+    if pf == math.inf:
+        w = np.zeros_like(r)
+        w[i] = math.copysign(1.0, r[i])
+        return w
+    return np.sign(r) * (a / a[i]) ** (pf - 1.0)
+
+
 def dual_witness(g: np.ndarray, q) -> np.ndarray:
     """Unit-ball maximizer: argmax of <g, x> over the l_q unit ball.
 
-    Returns x with lq_norm(x, q) <= 1 and <g, x> = lq_norm(g, q*). Closed
-    form for every q; for q = 1 the peak coordinate wins with a
-    lowest-index tie-break, for q = inf the sign vector.
+    Returns x with lq_norm(x, q) <= 1 and <g, x> = lq_norm(g, q*): the
+    normalized `dual_direction` of g in l_{q*}. For q = 1 the peak
+    coordinate wins with a lowest-index tie-break, for q = inf it is the
+    sign vector.
     """
     g = np.asarray(g, dtype=float)
     if not g.any():
         return np.zeros_like(g)
     qf = float(q)
-    if qf == math.inf:
-        return np.sign(g)
-    if qf == 1.0:
-        i0 = int(np.argmax(np.abs(g)))
-        x = np.zeros_like(g)
-        x[i0] = math.copysign(1.0, g[i0])
-        return x
-    qstar = qf / (qf - 1.0)
-    a = np.abs(g)
-    m = a.max()
-    w = (a / m) ** (qstar - 1.0)
-    x = np.sign(g) * w
-    return x / lq_norm(x, q)
+    qstar = qf / (qf - 1.0) if 1.0 < qf < math.inf else (math.inf if qf == 1.0 else 1.0)
+    x = dual_direction(g, qstar)
+    return x / lq_norm(x, qf)
 
 
 def norming_functional(x: Vector) -> Vector:

@@ -1,18 +1,15 @@
 """Verification suites: randomized checks of the transport theorems.
 
-Each suite expands a config into independent cases, runs them (optionally
-on a thread pool; results are aggregated in submission order so reports
-are deterministic either way), and returns a `SuiteReport` whose per-case
-records carry the numbers needed to recheck every verdict offline.
+Each suite expands a config into independent cases, runs them one after
+another in order, and returns a `SuiteReport` whose per-case records carry
+the numbers needed to recheck every verdict offline.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import time
 from dataclasses import dataclass
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -186,17 +183,7 @@ def list_suites() -> tuple[str, ...]:
     return SUITE_NAMES
 
 
-def _workers(serial: bool) -> int:
-    if serial:
-        return 1
-    env = os.environ.get("SEQCLASS_THREADS", "")
-    try:
-        return max(1, int(env)) if env else 1
-    except ValueError:
-        return 1
-
-
-def run_suite(config: dict, serial: bool = False) -> SuiteReport:
+def run_suite(config: dict) -> SuiteReport:
     """Execute one suite from a config dict (unknown keys rejected)."""
     if "suite" not in config:
         raise KeyError("config must name a suite")
@@ -222,23 +209,14 @@ def run_suite(config: dict, serial: bool = False) -> SuiteReport:
     cases = builder(cfg)
     t0 = time.perf_counter()
     results: list[dict] = []
-    nworkers = _workers(serial)
-
-    def run_case(item):
-        case_name, thunk = item
+    for case_name, thunk in cases:
         try:
             data = thunk()
         except Exception as exc:  # recorded per-case, surfaces as exit 1
             data = {"passed": False, "error": f"{type(exc).__name__}: {exc}"}
         data["name"] = case_name
         data.setdefault("passed", False)
-        return data
-
-    if nworkers > 1:
-        with ThreadPoolExecutor(max_workers=nworkers) as pool:
-            results = list(pool.map(run_case, cases))
-    else:
-        results = [run_case(item) for item in cases]
+        results.append(data)
 
     wall = time.perf_counter() - t0
     violations = sum(1 for c in results if not c["passed"])
@@ -390,21 +368,26 @@ def _suite_linear_stability(cfg: dict) -> CaseList:
     ]
 
 
-def _suite_weak1_stability(cfg: dict) -> CaseList:
-    seed = int(cfg["seed"])
-    trials, arities = int(cfg["trials"]), [int(a) for a in cfg["arities"]]
-    k_max = int(cfg["k_max"])
+def _transport_cases(cfg: dict, name: str, trials: int, spec: SeqClassSpec | None) -> CaseList:
+    """One case per arity: the stability report of `spec`'s transport inequality.
+
+    `spec=None` runs the Cohen-Hoelder experiment instead.
+    """
+    seed, k_max = int(cfg["seed"]), int(cfg["k_max"])
     dims, exps = _sampler_args(cfg)
     tol = float(cfg["tolerances"]["slack"])
-    share = trials // len(arities)
 
-    cases: list[tuple[str, Callable[[], dict]]] = []
-    for i, n in enumerate(arities):
-        def stability(n=n, i=i) -> dict:
-            rep = stability_report(
-                SeqClassSpec.weak(1), n, share, seed=seed + i,
-                k_max=k_max, dims=dims, exponents=exps, tolerance=tol,
-            )
+    def one_arity(n: int, i: int) -> Callable[[], dict]:
+        def case() -> dict:
+            if spec is None:
+                rep = cohen_holder_stability(
+                    trials, seed=seed + i, arity=n, k_max=k_max, dims=dims, tolerance=tol
+                )
+            else:
+                rep = stability_report(
+                    spec, n, trials, seed=seed + i,
+                    k_max=k_max, dims=dims, exponents=exps, tolerance=tol,
+                )
             return {
                 "passed": rep.passed,
                 "trials": rep.trials,
@@ -412,7 +395,17 @@ def _suite_weak1_stability(cfg: dict) -> CaseList:
                 "violations": rep.violations,
             }
 
-        cases.append((f"weak1-transport-n{n}", stability))
+        return case
+
+    arities = [int(a) for a in cfg["arities"]]
+    return [(f"{name}-n{n}", one_arity(n, i)) for i, n in enumerate(arities)]
+
+
+def _suite_weak1_stability(cfg: dict) -> CaseList:
+    seed = int(cfg["seed"])
+    dims, _ = _sampler_args(cfg)
+    share = int(cfg["trials"]) // len(cfg["arities"])
+    cases = _transport_cases(cfg, "weak1-transport", share, SeqClassSpec.weak(1))
 
     def attainment() -> dict:
         rng = np.random.default_rng([seed, 99])
@@ -429,56 +422,15 @@ def _suite_weak1_stability(cfg: dict) -> CaseList:
                 worst = min(worst, est.bracket.lower / lo)
         return {"passed": worst >= floor, "value": worst, "ops": n_ops}
 
-    cases.append(("k-sweep-attainment", attainment))
-    return cases
+    return [*cases, ("k-sweep-attainment", attainment)]
 
 
 def _suite_rad_stability(cfg: dict) -> CaseList:
-    seed = int(cfg["seed"])
-    trials = int(cfg["trials"])
-    k_max = int(cfg["k_max"])
-    dims, exps = _sampler_args(cfg)
-    tol = float(cfg["tolerances"]["slack"])
-    cases = []
-    for i, n in enumerate(int(a) for a in cfg["arities"]):
-        def case(n=n, i=i) -> dict:
-            rep = stability_report(
-                SeqClassSpec.rad(), n, trials, seed=seed + i,
-                k_max=k_max, dims=dims, exponents=exps, tolerance=tol,
-            )
-            return {
-                "passed": rep.passed,
-                "trials": rep.trials,
-                "max_ratio_over_ceiling": rep.max_ratio_over_ceiling,
-                "violations": rep.violations,
-            }
-
-        cases.append((f"rad-transport-n{n}", case))
-    return cases
+    return _transport_cases(cfg, "rad-transport", int(cfg["trials"]), SeqClassSpec.rad())
 
 
 def _suite_cohen_stability(cfg: dict) -> CaseList:
-    seed = int(cfg["seed"])
-    trials = int(cfg["trials"])
-    k_max = int(cfg["k_max"])
-    dims = cfg["dims"]
-    dims = dims if isinstance(dims, int) else [int(d) for d in dims]
-    tol = float(cfg["tolerances"]["slack"])
-    cases = []
-    for i, n in enumerate(int(a) for a in cfg["arities"]):
-        def case(n=n, i=i) -> dict:
-            rep = cohen_holder_stability(
-                trials, seed=seed + i, arity=n, k_max=k_max, dims=dims, tolerance=tol
-            )
-            return {
-                "passed": rep.passed,
-                "trials": rep.trials,
-                "max_ratio_over_ceiling": rep.max_ratio_over_ceiling,
-                "violations": rep.violations,
-            }
-
-        cases.append((f"cohen-holder-transport-n{n}", case))
-    return cases
+    return _transport_cases(cfg, "cohen-holder-transport", int(cfg["trials"]), None)
 
 
 def _suite_growth(cfg: dict) -> CaseList:

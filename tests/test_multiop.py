@@ -334,6 +334,21 @@ def test_decoupling_residual_scales_without_overflow():
         assert decoupling_check(A, scaled) <= 1e-10 * c
 
 
+def test_op_norm_homogeneous_at_extreme_scales():
+    # the dual updates of the generic slots stop on a relative gain, so a
+    # tiny operator is searched exactly like its unit-scale copy
+    rng = np.random.default_rng(23)
+    for t in range(40):
+        qs = [Q_VALUES[i] for i in rng.integers(len(Q_VALUES), size=2)]
+        dims = [int(d) for d in rng.integers(1, 5, size=2)]
+        q_out = Q_VALUES[rng.integers(len(Q_VALUES))]
+        A = random_op(rng, dims, int(rng.integers(1, 5)), qs=qs, q_out=q_out)
+        ref = op_norm(A, seed=t).bracket.lower
+        for c in (2.0**600, 2.0**-600):
+            got = op_norm(MultiOp(A.domain, A.codomain, c * A.coeffs), seed=t).bracket.lower
+            assert abs(got - c * ref) <= 1e-12 * c * ref, (t, c)
+
+
 def test_decoupling_budget_guard():
     rng = np.random.default_rng(18)
     A = random_op(rng, [2, 2, 2], 2)

@@ -1,9 +1,12 @@
-"""Tests for the meet-in-the-middle sign enumerator."""
+"""Tests for the meet-in-the-middle sign enumerator and the dual-update kernel."""
+
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from seqclass._optim import sign_patterns
+from seqclass._optim import power_iterate, sign_patterns
+from seqclass.spaces import INF, lq_norm
 
 
 def bit_patterns(k, fix_first, block):
@@ -55,3 +58,19 @@ def test_no_pattern_matrix_at_k20():
 def test_empty_sum():
     blocks = list(sign_patterns(np.zeros((0, 4)), fix_first=True))
     assert len(blocks) == 1 and np.array_equal(blocks[0], np.zeros((1, 4)))
+
+
+@pytest.mark.parametrize("p", [1, Fraction(3, 2), 2, 3, INF])
+@pytest.mark.parametrize("ball_q", [1, Fraction(4, 3), 2, 4, INF])
+def test_power_iterate_is_monotone_and_stays_in_the_ball(ball_q, p):
+    rng = np.random.default_rng(29)
+    for _ in range(30):
+        k, d = (int(n) for n in rng.integers(1, 6, size=2))
+        M = rng.standard_normal((k, d))
+        v = rng.standard_normal(d)
+        x0 = v / lq_norm(v, ball_q)
+        f0 = lq_norm(M @ x0, p)
+        x, f = power_iterate(M, ball_q, p, x0, f0, 20)
+        assert f >= f0
+        assert lq_norm(x, ball_q) <= 1.0 + 1e-12
+        assert f == lq_norm(M @ x, p)

@@ -265,6 +265,44 @@ def test_sign_enumerators_homogeneous_at_extreme_scales():
             assert abs(got - c * ref) <= 1e-12 * c * ref, (method, q, c)
 
 
+def test_sup_and_strong_exactly_homogeneous_at_powers_of_two():
+    # the weak-p and Cohen searches divide by these, so they scale bit for bit
+    rng = np.random.default_rng(53)
+    for q in (1, Fraction(4, 3), 2, 3, INF):
+        s = random_seq(rng, 5, 3, q)
+        for c in (2.0**600, 2.0**-600):
+            t = VecSeq(s.space, c * s.mat)
+            assert norm_sup(t) == c * norm_sup(s)
+            for p in (1, Fraction(3, 2), 2, 3):
+                assert norm_strong_p(t, p) == c * norm_strong_p(s, p)
+
+
+def test_weak_dual_l1_extreme_points_homogeneous_at_extreme_scales():
+    rng = np.random.default_rng(59)
+    s = random_seq(rng, 4, 3, INF)
+    ref = norm_weak_p(s, 2)
+    assert ref.method == "dual-l1-extreme-points"
+    for c in EXTREME_SCALES:
+        got = norm_weak_p(VecSeq(s.space, c * s.mat), 2).upper
+        assert abs(got - c * ref.upper) <= 1e-12 * c * ref.upper, c
+
+
+def test_rad_mc_exactly_homogeneous_at_powers_of_two():
+    rng = np.random.default_rng(61)
+    for q in (Fraction(3, 2), 2, INF):
+        s = random_seq(rng, 25, 2, q)
+        ref = norm_rad_mc(s, samples=200, seed=3)
+        for c in (2.0**600, 2.0**-600):
+            b = norm_rad_mc(VecSeq(s.space, c * s.mat), samples=200, seed=3)
+            assert (b.lower, b.upper) == (c * ref.lower, c * ref.upper), (q, c)
+
+
+def test_bracket_rejects_nan():
+    for lo, up in ((math.nan, 1.0), (0.0, math.nan), (math.nan, math.nan)):
+        with pytest.raises(ValueError):
+            NormBracket(lo, up, False, "test")
+
+
 def test_rad_prefix_sup_equals_rad():
     rng = np.random.default_rng(41)
     for _ in range(40):

@@ -14,6 +14,7 @@ from seqclass.spaces import (
     Vector,
     as_exponent,
     conjugate_exponent,
+    dual_direction,
     lq_norm,
     norming_functional,
     pairing,
@@ -38,6 +39,51 @@ def test_lq_norm_q2_no_overflow_or_underflow():
     assert lq_norm(v, 2) == float(np.sqrt((v * v).sum()))
     assert lq_norm(np.array([0.0, -0.0]), 2) == 0.0
     assert lq_norm(np.array([1.0, INF]), 2) == INF
+
+
+def _slice_loop(A, q, axis):
+    """Reference: lq_norm of each slice along `axis`, one Python call per slice."""
+    B = np.moveaxis(A, axis, -1)
+    out = np.zeros(B.shape[:-1])
+    for idx in np.ndindex(out.shape):
+        out[idx] = lq_norm(B[idx], q)
+    return out
+
+
+@pytest.mark.parametrize("q", [1, Fraction(4, 3), Fraction(3, 2), 2, 3, INF])
+def test_lq_norm_axis_matches_slice_loop(q):
+    rng = np.random.default_rng(17)
+    arrays = [np.zeros(0), np.zeros((3, 0)), np.zeros((0, 4)), np.zeros((2, 3))]
+    for shape in [(5,), (4, 3), (1, 6), (3, 2, 4)]:
+        A = rng.standard_normal(shape)
+        arrays.append(A)
+        # rows at 1e+-200 beside rows near 1, and an all-zero slice
+        mixed = A.copy().reshape(shape[0], -1)
+        mixed[0] *= 1e200
+        if shape[0] > 2:
+            mixed[1] *= 1e-200
+            mixed[2] = 0.0
+        arrays.append(mixed.reshape(shape))
+    for A in arrays:
+        whole = _slice_loop(A.reshape(1, -1), q, 1)[0]
+        assert lq_norm(A, q) == pytest.approx(whole, rel=1e-15, abs=0)
+        for axis in range(-A.ndim, A.ndim):
+            got = lq_norm(A, q, axis=axis)
+            want = _slice_loop(A, q, axis)
+            assert got.shape == want.shape
+            assert np.all(np.abs(got - want) <= 1e-15 * want), (A.shape, axis)
+
+
+@pytest.mark.parametrize("p", [1, Fraction(4, 3), 2, 3, INF])
+def test_dual_direction_attains_holder(p):
+    # <w, r> = ||w||_{p*} ||r||_p: w is a positive multiple of the gradient of ||.||_p at r
+    rng = np.random.default_rng(19)
+    pstar = conjugate_exponent(p)
+    for _ in range(50):
+        r = rng.standard_normal(int(rng.integers(1, 6)))
+        w = dual_direction(r, p)
+        assert w @ r == pytest.approx(lq_norm(w, pstar) * lq_norm(r, p), rel=1e-12)
+    assert not dual_direction(np.zeros(3), p).any()
 
 
 def test_conjugate_exponent_examples():
