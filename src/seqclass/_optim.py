@@ -1,7 +1,11 @@
-"""Internal search primitives: sign enumeration, sphere grids, dual updates, projected ascent.
+"""Internal search primitives: sign enumeration, sphere grids, dual updates, ball maxima.
 
-All routines are pure functions of their inputs and the supplied RNG, so a
-fixed seed reproduces results bit for bit (single-threaded).
+`ball_max` is the one routine for max ||M x||_p over an l_q unit ball,
+the problem under the weak-p norm, the one-slot step of the operator-norm
+search and the Cohen dual rescaling; it is exact on the ball's vertices
+and at p = q = 2, and runs `power_iterate` otherwise. All routines are
+pure functions of their inputs, so a fixed seed reproduces results bit
+for bit (single-threaded).
 """
 
 from __future__ import annotations
@@ -12,18 +16,31 @@ from typing import Iterator
 
 import numpy as np
 
-from .spaces import dual_direction, dual_witness, lq_norm
+from .spaces import INF, dual_direction, dual_witness, lq_norm
 
 DEFAULT_BLOCK = 1 << 15
 
+#: Largest length (or l_inf dimension) for which 2^k sign enumeration is attempted.
+SIGN_CUTOFF = 20
+
+#: Points of each `sphere_grid`.
+GRID_POINTS = 512
+
+
+def unit_scaled(X: np.ndarray) -> tuple[np.ndarray, int]:
+    """X * 2^-e with max|X * 2^-e| in [1/2, 1): exact, and no sum of k rows overflows."""
+    e = math.frexp(float(np.abs(X).max()))[1]
+    return np.ldexp(X, -e), e
+
 
 @lru_cache(maxsize=64)
-def sphere_grid(d: int, qf: float, n: int = 512) -> np.ndarray:
+def sphere_grid(d: int, qf: float) -> np.ndarray:
     """Deterministic covering of the l_q unit sphere in dimension d <= 3.
 
     Used to brace low-dimensional dual-ball searches: one matmul scores
     every grid point at once.
     """
+    n = GRID_POINTS
     if d == 1:
         pts = np.array([[1.0], [-1.0]])
     elif d == 2:
@@ -107,74 +124,40 @@ def power_iterate(
     return x, f
 
 
-def weak_p_ascent(
-    X: np.ndarray,
-    ball_q,
-    p: float,
-    rng: np.random.Generator,
-    restarts: int = 32,
-    iters: int = 200,
-    tol: float = 1e-10,
-    row_starts: int | None = None,
-) -> tuple[float, np.ndarray]:
-    """Maximize ||X phi||_p over the unit sphere of l_{ball_q}.
+def ball_max(
+    M: np.ndarray, ball_q, p, starts, iters: int = 200, sign_cutoff: int = SIGN_CUTOFF
+) -> tuple[float, np.ndarray, str]:
+    """max ||M x||_p over the unit ball of l_{ball_q}: (value, maximizer, method).
 
-    Projected gradient ascent with step halving, restarted from uniform
-    random directions plus the per-row dual witnesses, then polished by
-    `power_iterate`. The objective is convex in phi, so the maximum sits on
-    the sphere; restarts make the boundary search reliable at small
-    dimension.
+    The objective is convex, so the maximum sits at an extreme point.
+    Exact on the +-e_i of the l_1 ball, on the sign vertices of the l_inf
+    ball when d <= `sign_cutoff`, and by the top singular value at
+    ball_q = p = 2 (methods "l1-ball-vertices", "linf-ball-vertices",
+    "svd-spectral"). Otherwise ("power-iteration") the best
+    `power_iterate` run over the unit-ball points `starts`, an iterable
+    that only this branch consumes: a lower end attained by the returned
+    maximizer.
     """
-    k, d = X.shape
-    pf = float(p)
-
-    def obj(phi: np.ndarray) -> float:
-        return lq_norm(X @ phi, pf)
-
-    starts: list[np.ndarray] = []
-    nrows = k if row_starts is None else min(k, row_starts)
-    for j in range(nrows):
-        if X[j].any():
-            starts.append(dual_witness(X[j], ball_q))
-    if d <= 3:
-        # brace the restarts with the best points of a deterministic grid
-        grid = sphere_grid(d, float(ball_q))
-        scores = lq_norm(X @ grid.T, pf, axis=0)
-        for i in np.argsort(scores)[-3:]:
-            starts.append(grid[i])
-    for _ in range(restarts):
-        v = rng.standard_normal(d)
-        n = lq_norm(v, ball_q)
-        if n > 0:
-            starts.append(v / n)
-    if not starts:
-        return 0.0, np.zeros(d)
-
-    best_val, best_phi = -1.0, starts[0]
-    for phi0 in starts:
-        phi = phi0
-        f = obj(phi)
-        for _ in range(iters):
-            g = X.T @ dual_direction(X @ phi, pf)
-            gn = float(np.linalg.norm(g))
-            if gn == 0.0:
-                break
-            g /= gn
-            t, accepted = 1.0, 0.0
-            while t > 1e-12:
-                cand = phi + t * g
-                n = lq_norm(cand, ball_q)
-                if n > 0:
-                    cand = cand / n
-                    fc = obj(cand)
-                    if fc > f:
-                        phi, f, accepted = cand, fc, t
-                        break
-                t *= 0.5
-            if accepted == 0.0 or accepted < tol:
-                break
-        phi, f = power_iterate(X, ball_q, pf, phi, f, 40)
-        if f > best_val:
-            best_val, best_phi = f, phi
-    return max(best_val, 0.0), best_phi
-
+    d = M.shape[1]
+    if ball_q == 1:
+        vals = lq_norm(M, p, axis=0)
+        i = int(np.argmax(vals))
+        x = np.zeros(d)
+        x[i] = 1.0
+        return float(vals[i]), x, "l1-ball-vertices"
+    if ball_q == INF and d <= sign_cutoff:
+        best, idx = -1.0, 0
+        for b, sums in enumerate(sign_patterns(M.T, fix_first=True)):
+            vals = lq_norm(sums, p, axis=1)
+            i = int(np.argmax(vals))
+            if vals[i] > best:
+                best, idx = float(vals[i]), b * len(sums) + i
+        # eps_0 = +1 is pinned; bit j of the pattern index sets eps_{j+1}
+        x = np.array([1.0] + [(idx >> j & 1) * 2.0 - 1.0 for j in range(d - 1)])
+        return best, x, "linf-ball-vertices"
+    if ball_q == 2 and p == 2:
+        _, sig, vt = np.linalg.svd(M, full_matrices=False)
+        return float(sig[0]), vt[0], "svd-spectral"
+    runs = (power_iterate(M, ball_q, p, x0, lq_norm(M @ x0, p), iters) for x0 in starts)
+    x, f = max(runs, key=lambda run: run[1], default=(np.zeros(d), 0.0))  # first best run
+    return f, x, "power-iteration"

@@ -77,10 +77,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run = ssub.add_parser("run", help="run a suite by name or config path")
     run.add_argument("target", help="suite name or config.json path")
     run.add_argument("--seed", type=int, help="override the config seed")
-    run.add_argument(
-        "--serial", action="store_true",
-        help="accepted for compatibility; suites always run serially",
-    )
     run.add_argument("--out", help="write the JSON report here")
     run.add_argument("--csv", help="write ratio curves as CSV here")
     run.add_argument("--json", action="store_true", help="print JSON instead of the table")

@@ -231,7 +231,8 @@ def ideal_norm(
                         break
             if fz > k_best:
                 k_best, k_wit = fz, z
-        if k_best > best_ratio and k_wit is not None:
+        # a longer witness must win by more than roundoff, so ties keep the shorter k
+        if k_wit is not None and k_best > best_ratio * (1.0 + 1e-12):
             best_ratio, best_k = k_best, k
             mats, off = [], 0
             for d in dims:

@@ -13,9 +13,9 @@ from typing import Sequence
 
 import numpy as np
 
-from ._optim import power_iterate, sign_patterns
-from .spaces import INF, Space, Vector, as_exponent, conjugate_exponent, lq_norm
-from .seqnorm import ASCENT_SLACK, SIGN_CUTOFF, NormBracket, VecSeq
+from ._optim import SIGN_CUTOFF, ball_max, sign_patterns
+from .spaces import Space, Vector, as_exponent, conjugate_exponent, lq_norm
+from .seqnorm import ASCENT_SLACK, NormBracket, VecSeq
 
 __all__ = [
     "MultiOp",
@@ -121,29 +121,6 @@ def holder_coefficient_bound(A: MultiOp) -> float:
     return lq_norm(T, A.codomain.q)
 
 
-def _slot_update(M: np.ndarray, q_m, q_out, x_old: np.ndarray) -> np.ndarray:
-    """Maximize ||M x|| over the unit l_{q_m} ball; exact where tractable."""
-    d_m = M.shape[1]
-    if not M.any():
-        return x_old
-    if q_m == 1:
-        e = np.zeros(d_m)
-        e[int(np.argmax(lq_norm(M, q_out, axis=0)))] = 1.0
-        return e
-    if q_m == INF and d_m <= 16:
-        best_val, best = -1.0, x_old
-        for block in sign_patterns(np.eye(d_m), fix_first=True):
-            vals = lq_norm(block @ M.T, q_out, axis=1)
-            i = int(np.argmax(vals))
-            if vals[i] > best_val:
-                best_val, best = float(vals[i]), block[i]
-        return best.copy()
-    if q_m == 2 and q_out == 2:
-        _, _, vt = np.linalg.svd(M, full_matrices=False)
-        return vt[0]
-    return power_iterate(M, q_m, q_out, x_old, lq_norm(M @ x_old, q_out), 20)[0]
-
-
 def op_norm(
     A: MultiOp,
     seed: int = 0,
@@ -152,8 +129,9 @@ def op_norm(
 ) -> OpNormEstimate:
     """Alternating maximization of ||A(x_1,...,x_n)|| over unit arguments.
 
-    Each sweep solves the one-slot problem exactly for l_1 slots, small
-    l_inf slots and l_2 -> l_2 pairs, and by monotone ascent otherwise.
+    Each sweep maximizes over one slot at a time with `ball_max`: exactly
+    for l_1 slots, small l_inf slots and l_2 -> l_2 pairs, and otherwise
+    by 20 dual updates from the slot's current argument.
     `starts` may supply extra initial argument tuples (coordinate arrays).
     """
     n = A.arity
@@ -183,7 +161,8 @@ def op_norm(
         for _ in range(60):
             for m in range(n):
                 M = _contract_all_but(A, xs, m)
-                xs[m] = _slot_update(M, A.domain[m].q, q_out, xs[m])
+                if M.any():
+                    xs[m] = ball_max(M, A.domain[m].q, q_out, (xs[m],), 20)[1]
             fn = _value(A, xs)
             if fn <= f * (1.0 + 1e-12):
                 f = max(f, fn)

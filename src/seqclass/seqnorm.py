@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._optim import power_iterate, sign_patterns, sphere_grid, weak_p_ascent
+from ._optim import SIGN_CUTOFF, ball_max, sign_patterns, sphere_grid, unit_scaled
 from .spaces import INF, Space, Vector, as_exponent, conjugate_exponent, dual_witness, lq_norm
 
 __all__ = [
@@ -35,10 +35,7 @@ __all__ = [
     "seq_norm",
 ]
 
-#: Largest k for which exact 2^k sign enumeration is attempted.
-SIGN_CUTOFF = 20
-
-#: Relative slack reported on heuristic (ascent-derived) upper ends.
+#: Relative slack reported on heuristic (search-derived) upper ends.
 ASCENT_SLACK = 1e-3
 
 
@@ -214,7 +211,7 @@ def norm_sup(s: VecSeq) -> float:
     """
     if len(s) == 0:
         return 0.0
-    X, e = _unit_scaled(s.mat)
+    X, e = unit_scaled(s.mat)
     return math.ldexp(float(lq_norm(X, s.space.q, axis=1).max()), e)
 
 
@@ -223,7 +220,7 @@ def norm_strong_p(s: VecSeq, p) -> float:
     p = float(_finite_exponent(p))
     if len(s) == 0:
         return 0.0
-    X, e = _unit_scaled(s.mat)
+    X, e = unit_scaled(s.mat)
     return math.ldexp(lq_norm(lq_norm(X, s.space.q, axis=1), p), e)
 
 
@@ -245,27 +242,34 @@ def _weak_disjoint_value(X: np.ndarray, q, p: float) -> float:
     return lq_norm(lq_norm(X, q, axis=1), p / (1.0 - r) if r < 1.0 else INF)
 
 
-def _unit_scaled(X: np.ndarray) -> tuple[np.ndarray, int]:
-    """X * 2^-e with max|X * 2^-e| in [1/2, 1): exact, and no sum of k rows overflows."""
-    e = math.frexp(float(np.abs(X).max()))[1]
-    return np.ldexp(X, -e), e
-
-
 def _weak_sign_oracle(X: np.ndarray, q) -> float:
-    X, e = _unit_scaled(X)
+    X, e = unit_scaled(X)
     best = 0.0
     for sums in sign_patterns(X, fix_first=True):
         best = max(best, float(lq_norm(sums, q, axis=1).max()))
     return math.ldexp(best, e)
 
 
-def _weak_vertex_oracle(X: np.ndarray, p: float) -> float:
-    # dual ball of l_1 is the l_inf ball: enumerate its vertices
-    X, e = _unit_scaled(X)
-    best = 0.0
-    for vals in sign_patterns(X.T, fix_first=True):  # phi(x_j) per vertex per row
-        best = max(best, float(lq_norm(vals, p, axis=1).max()))
-    return math.ldexp(best, e)
+#: `ball_max` methods under the names the weak-p brackets report.
+_WEAK_METHODS = {
+    "l1-ball-vertices": "dual-l1-extreme-points",
+    "linf-ball-vertices": "dual-linf-vertices",
+}
+
+
+def _weak_starts(X: np.ndarray, ball_q, p: float, restarts: int, seed: int):
+    """Unit-ball starts for the weak-p search: row witnesses, the best grid points, random points."""
+    d = X.shape[1]
+    for row in X:
+        yield dual_witness(row, ball_q)
+    if d <= 3:
+        # brace the restarts with the best points of a deterministic grid
+        grid = sphere_grid(d, float(ball_q))
+        yield from grid[np.argsort(lq_norm(X @ grid.T, p, axis=0))[-3:]]
+    rng = np.random.default_rng(seed)
+    for _ in range(restarts):
+        v = rng.standard_normal(d)
+        yield v / lq_norm(v, ball_q)
 
 
 def norm_weak_p(
@@ -280,8 +284,12 @@ def norm_weak_p(
     Exact branches: singleton, l_inf spaces (dual l_1 extreme points),
     rows with disjoint supports, p = 1 via sign enumeration, l_1 spaces via
     dual l_inf vertices, and (p, q) = (2, 2) via the top singular value.
-    Otherwise multi-start projected gradient ascent certifies the lower end
-    and the upper end carries `ASCENT_SLACK` (capped by the strong-p norm).
+    Otherwise `ball_max` runs power iteration from the row witnesses, the
+    best grid points (d <= 3) and `restarts` random points: the lower end
+    is attained by its maximizer, and the upper end carries `ASCENT_SLACK`
+    (capped by the strong-p norm). `ball_max` gets the rows scaled by an
+    exact power of two, so its branches, the search included, are exactly
+    homogeneous under scaling by powers of two.
     """
     p = float(_finite_exponent(p))
     X = s.mat
@@ -292,26 +300,22 @@ def norm_weak_p(
     q = s.space.q
     if k == 1:
         return NormBracket.exact_value(lq_norm(X[0], q), "singleton", seed)
-    if q == INF:
-        # extreme points of the dual l_1 ball are +-e_i
-        val = float(lq_norm(X, p, axis=0).max())
-        return NormBracket.exact_value(val, "dual-l1-extreme-points", seed)
-    if _rows_disjoint(X):
-        return NormBracket.exact_value(_weak_disjoint_value(X, q, p), "disjoint-support", seed)
-    if p == 1.0 and k <= sign_cutoff:
-        return NormBracket.exact_value(_weak_sign_oracle(X, q), "sign-enumeration", seed)
-    if q == 1 and s.space.dim <= sign_cutoff:
-        return NormBracket.exact_value(_weak_vertex_oracle(X, p), "dual-linf-vertices", seed)
-    if p == 2.0 and q == 2:
-        val = float(np.linalg.svd(X, compute_uv=False)[0])
-        return NormBracket.exact_value(val, "svd-spectral", seed)
+    if q != INF:  # l_inf spaces go straight to the dual l_1 extreme points
+        if _rows_disjoint(X):
+            return NormBracket.exact_value(_weak_disjoint_value(X, q, p), "disjoint-support", seed)
+        if p == 1.0 and k <= sign_cutoff:
+            return NormBracket.exact_value(_weak_sign_oracle(X, q), "sign-enumeration", seed)
 
-    scale = norm_sup(s)
-    rng = np.random.default_rng(seed)
-    val, _ = weak_p_ascent(X / scale, conjugate_exponent(q), p, rng, restarts=restarts)
-    lower = val * scale
-    upper = min(lower * (1.0 + ASCENT_SLACK), norm_strong_p(s, p))
-    return NormBracket(lower, upper, False, "projected-gradient-ascent", seed)
+    ball_q = conjugate_exponent(q)
+    X, e = unit_scaled(X)
+    val, _, method = ball_max(
+        X, ball_q, p, _weak_starts(X, ball_q, p, restarts, seed), sign_cutoff=sign_cutoff
+    )
+    val = math.ldexp(val, e)
+    if method != "power-iteration":
+        return NormBracket.exact_value(val, _WEAK_METHODS.get(method, method), seed)
+    upper = min(val * (1.0 + ASCENT_SLACK), norm_strong_p(s, p))
+    return NormBracket(val, upper, False, method, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +335,7 @@ def norm_rad(s: VecSeq, sign_cutoff: int = SIGN_CUTOFF) -> float:
         )
     if k == 0 or not s.mat.any():
         return 0.0
-    X, e = _unit_scaled(s.mat[s.mat.any(axis=1)])  # signs on zero vectors never matter
+    X, e = unit_scaled(s.mat[s.mat.any(axis=1)])  # signs on zero vectors never matter
     q = s.space.q
     total, count = 0.0, 0
     for sums in sign_patterns(X, fix_first=True):
@@ -354,7 +358,7 @@ def norm_rad_mc(s: VecSeq, samples: int, seed: int = 0) -> NormBracket:
         raise ValueError("samples must be >= 1")
     if len(s) == 0 or not s.mat.any():
         return NormBracket.exact_value(0.0, "zero", seed)
-    X, e = _unit_scaled(s.mat[s.mat.any(axis=1)])
+    X, e = unit_scaled(s.mat[s.mat.any(axis=1)])
     k = len(X)
     rng = np.random.default_rng(seed)
     sq = np.empty(samples)
@@ -390,51 +394,34 @@ def _cohen_lower(s: VecSeq, p: float, seed: int, hint: tuple | None = None) -> f
     pstar = conjugate_exponent(as_exponent(p))
     pv = float(pstar)
 
-    exact_inner = q == INF or q == 1  # the inner dual ball enumerates exactly
-
-    def value(Phi: np.ndarray, budget: int) -> float:
+    def value(Phi: np.ndarray) -> float:
         num = float((Phi * X).sum())
         if num <= 0.0:
             return 0.0
-        den = norm_weak_p(
-            VecSeq(dual_space, Phi), pstar, seed=seed, restarts=budget
-        ).upper
+        den = norm_weak_p(VecSeq(dual_space, Phi), pstar, seed=seed, restarts=8).upper
         if den <= 0.0:
             return 0.0
         return num / den
 
-    if q == INF and s.space.dim <= SIGN_CUTOFF:
-        inf_vertices = np.vstack(list(sign_patterns(np.eye(s.space.dim), fix_first=True)))
-    else:
-        inf_vertices = None
+    def quick_starts(Phi: np.ndarray):
+        # the best grid point (d <= 3) or the peak-row and column-sum witnesses
+        if d <= 3:
+            grid = sphere_grid(d, float(q))
+            yield grid[int(np.argmax(lq_norm(Phi @ grid.T, pv, axis=0)))]
+        else:
+            yield dual_witness(Phi[int(np.argmax(lq_norm(Phi, 2, axis=1)))], q)
+            yield dual_witness(Phi.sum(axis=0), q)
 
     def value_quick(Phi: np.ndarray) -> float:
-        # search-loop surrogate: same quantity with a tiny budget; the
-        # winning candidate is re-scored by the full evaluator
+        # search-loop surrogate: the same quantity from a few dual updates
+        # (exact on the l_1 ball and on small l_inf balls); the winning
+        # candidate is re-scored by the full evaluator
         num = float((Phi * X).sum())
         if num <= 0.0:
             return 0.0
-        if inf_vertices is not None:
-            # the inner dual ball is the l_inf cube: exact in one matmul
-            den = float(lq_norm(Phi @ inf_vertices.T, pv, axis=0).max())
-            return num / den if den > 0 else 0.0
-        if exact_inner:
-            return value(Phi, 1)
-        # cheap weak-p* value: the best grid point (d <= 3) or the peak-row
-        # and column-sum witnesses, each polished by a few dual updates
-        if d <= 3:
-            grid = sphere_grid(d, float(q))
-            scores = lq_norm(Phi @ grid.T, pv, axis=0)
-            i = int(np.argmax(scores))
-            val, starts, iters = float(scores[i]), [grid[i]], 4
-        else:
-            row = Phi[int(np.argmax(lq_norm(Phi, 2, axis=1)))]
-            starts = [dual_witness(row, q), dual_witness(Phi.sum(axis=0), q)]
-            val, iters = 0.0, 14
-        for phi in starts:
-            if phi.any():
-                val = max(val, power_iterate(Phi, q, pv, phi, lq_norm(Phi @ phi, pv), iters)[1])
-        den = min(val * (1.0 + ASCENT_SLACK), lq_norm(lq_norm(Phi, qstar, axis=1), pv))
+        den, _, method = ball_max(Phi, q, pv, quick_starts(Phi), 4 if d <= 3 else 14)
+        if method == "power-iteration":
+            den = min(den * (1.0 + ASCENT_SLACK), lq_norm(lq_norm(Phi, qstar, axis=1), pv))
         return num / den if den > 0 else 0.0
 
     row_norms = lq_norm(X, q, axis=1)
@@ -464,7 +451,7 @@ def _cohen_lower(s: VecSeq, p: float, seed: int, hint: tuple | None = None) -> f
 
     best_val, best_phi = 0.0, candidates[0]
     for cand in candidates:
-        v = value(cand, 8)
+        v = value(cand)
         if v > best_val:
             best_val, best_phi = v, cand
 
@@ -477,7 +464,7 @@ def _cohen_lower(s: VecSeq, p: float, seed: int, hint: tuple | None = None) -> f
         options={"maxfev": 300, "xtol": 1e-8, "ftol": 1e-10},
     )
     if -res.fun > best_val:
-        best_val = max(best_val, value(res.x.reshape(k, d), 8))
+        best_val = max(best_val, value(res.x.reshape(k, d)))
     return best_val
 
 

@@ -206,7 +206,7 @@ def test_suite_run_growth_and_exit_zero(tmp_path, capsys):
     out_path = tmp_path / "growth.json"
     csv_path = tmp_path / "growth.csv"
     code, out, _ = run_cli(
-        ["suite", "run", "growth", "--serial", "--out", str(out_path),
+        ["suite", "run", "growth", "--out", str(out_path),
          "--csv", str(csv_path)],
         capsys,
     )
@@ -228,7 +228,7 @@ def test_suite_report_determinism(tmp_path, capsys):
     for i in range(2):
         path = tmp_path / f"r{i}.json"
         code, _, _ = run_cli(
-            ["suite", "run", "decoupling", "--serial", "--seed", "5",
+            ["suite", "run", "decoupling", "--seed", "5",
              "--out", str(path)],
             capsys,
         )
@@ -244,7 +244,7 @@ def test_suite_config_file_round_trip(tmp_path, capsys):
     cfg_path.write_text(json.dumps(cfg))
     out_path = tmp_path / "rep.json"
     code, _, _ = run_cli(
-        ["suite", "run", str(cfg_path), "--serial", "--out", str(out_path)], capsys
+        ["suite", "run", str(cfg_path), "--out", str(out_path)], capsys
     )
     assert code == 0
     doc = json.loads(out_path.read_text())
@@ -262,7 +262,7 @@ def test_suite_config_unknown_key_exits_2(tmp_path, capsys):
 def test_case_records_recompute_verdict(tmp_path, capsys):
     out_path = tmp_path / "rep.json"
     code, _, _ = run_cli(
-        ["suite", "run", "growth", "--serial", "--out", str(out_path)], capsys
+        ["suite", "run", "growth", "--out", str(out_path)], capsys
     )
     assert code == 0
     doc = json.loads(out_path.read_text())
@@ -298,24 +298,3 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert "seqclass" in proc.stdout
-
-
-def test_env_thread_cap_preserves_report(tmp_path):
-    env_out, serial_out = None, None
-    import os
-
-    for mode, path_name in (("2", "par.json"), (None, "ser.json")):
-        env = dict(os.environ)
-        if mode:
-            env["SEQCLASS_THREADS"] = mode
-        path = tmp_path / path_name
-        proc = subprocess.run(
-            [sys.executable, "-m", "seqclass.cli", "suite", "run", "decoupling",
-             "--seed", "7", "--out", str(path)] + ([] if mode else ["--serial"]),
-            capture_output=True,
-            env=env,
-        )
-        assert proc.returncode == 0
-    par = strip_wall_time((tmp_path / "par.json").read_text())
-    ser = strip_wall_time((tmp_path / "ser.json").read_text())
-    assert par == ser

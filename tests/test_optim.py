@@ -1,11 +1,11 @@
-"""Tests for the meet-in-the-middle sign enumerator and the dual-update kernel."""
+"""Tests for the meet-in-the-middle sign enumerator, the dual-update kernel and the ball maximum."""
 
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from seqclass._optim import power_iterate, sign_patterns
+from seqclass._optim import ball_max, power_iterate, sign_patterns
 from seqclass.spaces import INF, lq_norm
 
 
@@ -74,3 +74,53 @@ def test_power_iterate_is_monotone_and_stays_in_the_ball(ball_q, p):
         assert f >= f0
         assert lq_norm(x, ball_q) <= 1.0 + 1e-12
         assert f == lq_norm(M @ x, p)
+
+
+def ball_cases(rng):
+    """Random matrices from 1 x 1 up, a zero matrix first and, last, d = 17 (two sign blocks)."""
+    yield np.zeros((3, 2))
+    for _ in range(30):
+        k, d = (int(n) for n in rng.integers(1, 6, size=2))
+        yield rng.standard_normal((k, d))
+    yield rng.standard_normal((2, 17))
+
+
+def assert_attained(M, ball_q, p, val, x):
+    assert lq_norm(x, ball_q) <= 1.0 + 1e-12
+    assert abs(lq_norm(M @ x, p) - val) <= 1e-12 * max(val, 1e-300)
+
+
+@pytest.mark.parametrize("p", [1, Fraction(3, 2), 2, 3, INF])
+def test_ball_max_exact_branches_match_brute_force(p):
+    rng = np.random.default_rng(31)
+    for M in ball_cases(rng):
+        d = M.shape[1]
+        signs = ((np.arange(1 << d)[:, None] >> np.arange(d)) & 1) * 2.0 - 1.0
+        refs = [(1, "l1-ball-vertices", max(lq_norm(M @ e, p) for e in np.eye(d))),
+                (INF, "linf-ball-vertices", float(lq_norm(signs @ M.T, p, axis=1).max()))]
+        if p == 2:
+            refs.append((2, "svd-spectral", float(np.sqrt(np.linalg.eigvalsh(M.T @ M).max()))))
+        for ball_q, method, want in refs:
+            val, x, got = ball_max(M, ball_q, p, ())
+            assert got == method
+            assert abs(val - want) <= 1e-12 * max(want, 1e-300), (ball_q, M.shape)
+            assert_attained(M, ball_q, p, val, x)
+
+
+@pytest.mark.parametrize("p", [1, Fraction(3, 2), 2, 3, INF])
+@pytest.mark.parametrize("ball_q", [Fraction(4, 3), 2, 4, INF])
+def test_ball_max_power_branch_is_attained_and_below_exact(ball_q, p):
+    rng = np.random.default_rng(37)
+    for M in ball_cases(rng):
+        d = M.shape[1]
+        starts = [v / lq_norm(v, ball_q) for v in rng.standard_normal((4, d))]
+        val, x, method = ball_max(M, ball_q, p, iter(starts), sign_cutoff=0)
+        if ball_q == 2 and p == 2:
+            assert method == "svd-spectral"
+            continue
+        assert method == "power-iteration"
+        assert_attained(M, ball_q, p, val, x)
+        assert val >= max(lq_norm(M @ x0, p) for x0 in starts)
+        if ball_q == INF:
+            assert val <= ball_max(M, INF, p, ())[0] * (1.0 + 1e-12)
+        assert ball_max(M, ball_q, p, (), sign_cutoff=0)[:1] == (0.0,)

@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from seqclass._optim import ball_max
 from seqclass.spaces import INF, Space, Vector, lq_norm
 from seqclass.seqnorm import (
     NormBracket,
@@ -137,9 +138,9 @@ def test_weak_exact_branches_match_each_other():
         p = rng.choice([1.5, 2.0, 3.0])
         s = VecSeq(Space(d, 1), X)
         direct = norm_weak_p(s, p)
-        from seqclass.seqnorm import _weak_vertex_oracle
-
-        assert direct.lower == pytest.approx(_weak_vertex_oracle(X, p), rel=1e-10)
+        val, _, method = ball_max(X, INF, p, ())  # the dual l_inf vertex branch itself
+        assert method == "linf-ball-vertices"
+        assert direct.lower == pytest.approx(val, rel=1e-10)
 
 
 def test_weak_disjoint_formula_against_sampling():
@@ -170,22 +171,19 @@ def test_weak_svd_branch():
 
 
 def test_weak_ascent_vs_sign_oracle():
-    # force the heuristic path by calling the ascent on p=1 instances
+    # sign_cutoff=0 forces p = 1 instances past the sign enumeration and
+    # onto the power-iteration branch of ball_max (for q = inf the dual
+    # l_1 extreme points are exact and come first)
     rng = np.random.default_rng(17)
-    from seqclass.seqnorm import ASCENT_SLACK
-    from seqclass._optim import weak_p_ascent
-    from seqclass.spaces import conjugate_exponent, as_exponent
-
     for trial in range(200):
         k = int(rng.integers(2, 11))
         d = int(rng.integers(1, 5))
         q = Q_VALUES[rng.integers(len(Q_VALUES))]
         X = rng.standard_normal((k, d))
         exact = oracle_weak_signs(X, q)
-        val, _ = weak_p_ascent(
-            X, conjugate_exponent(as_exponent(q)), 1.0, np.random.default_rng(trial)
-        )
-        assert val == pytest.approx(exact, rel=1e-6, abs=1e-9)
+        b = norm_weak_p(VecSeq(Space(d, q), X), 1, seed=trial, sign_cutoff=0)
+        assert b.method == ("dual-l1-extreme-points" if q == INF else "power-iteration")
+        assert b.lower == pytest.approx(exact, rel=1e-6, abs=1e-9)
 
 
 def test_weak_bracket_sandwich_random():
@@ -285,6 +283,22 @@ def test_weak_dual_l1_extreme_points_homogeneous_at_extreme_scales():
     for c in EXTREME_SCALES:
         got = norm_weak_p(VecSeq(s.space, c * s.mat), 2).upper
         assert abs(got - c * ref.upper) <= 1e-12 * c * ref.upper, c
+
+
+def test_weak_power_iteration_exactly_homogeneous_at_powers_of_two():
+    rng = np.random.default_rng(67)
+    for _ in range(60):
+        k, d = int(rng.integers(2, 7)), int(rng.integers(1, 5))
+        q = [Fraction(4, 3), Fraction(3, 2), 2, 3][rng.integers(4)]
+        p = [Fraction(3, 2), 2, 3, 4][rng.integers(4)]
+        if p == 2 and q == 2:
+            continue
+        s = random_seq(rng, k, d, q)
+        ref = norm_weak_p(s, p, seed=5)
+        assert ref.method == "power-iteration"
+        for c in (2.0**600, 2.0**-600):
+            b = norm_weak_p(VecSeq(s.space, c * s.mat), p, seed=5)
+            assert (b.lower, b.upper) == (c * ref.lower, c * ref.upper), (q, p, c)
 
 
 def test_rad_mc_exactly_homogeneous_at_powers_of_two():
