@@ -69,17 +69,13 @@ def dumps(obj: Any, indent: int = 2) -> str:
     return emit(obj, 0) + "\n"
 
 
-def parse_exponent(text):
-    return as_exponent(text if isinstance(text, str) else text)
-
-
 def parse_space(text: str) -> Space:
     """Space literals like l2:3, linf:4, l4/3:2."""
     t = text.strip().lower()
     if not t.startswith("l") or ":" not in t:
         raise ValueError(f"bad space literal {text!r}; expected e.g. l2:3 or linf:4")
     q_part, _, dim_part = t[1:].partition(":")
-    return Space(int(dim_part), parse_exponent(q_part))
+    return Space(int(dim_part), as_exponent(q_part))
 
 
 def space_to_dict(s: Space) -> dict:
@@ -87,7 +83,7 @@ def space_to_dict(s: Space) -> dict:
 
 
 def space_from_dict(d: dict) -> Space:
-    return Space(int(d["dim"]), parse_exponent(d["q"]))
+    return Space(int(d["dim"]), as_exponent(d["q"]))
 
 
 def multiop_to_dict(A: MultiOp) -> dict:

@@ -24,11 +24,11 @@ from ._jsonio import (
     bracket_to_dict,
     dumps,
     multiop_from_dict,
-    parse_exponent,
     parse_space,
 )
 from .idealnorm import IdealSpec, ideal_norm
 from .seqnorm import SeqClassSpec, VecSeq, seq_norm
+from .spaces import as_exponent
 from .suites import list_suites, run_suite
 
 USAGE_ERROR, VIOLATION, OK = 2, 1, 0
@@ -92,7 +92,7 @@ def _make_class_spec(cls: str, p) -> SeqClassSpec:
         return SeqClassSpec(cls)
     if p is None:
         raise _CliError(f"class {cls} requires --p")
-    return SeqClassSpec(cls, parse_exponent(p))
+    return SeqClassSpec(cls, as_exponent(p))
 
 
 def _load_sequence(args) -> VecSeq:

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._optim import SIGN_CUTOFF, ball_max, sign_patterns, sphere_grid, unit_scaled
+from ._optim import SIGN_CUTOFF, ball_max, power_iterate, sign_patterns, sphere_grid, unit_scaled
 from .spaces import INF, Space, Vector, as_exponent, conjugate_exponent, dual_witness, lq_norm
 
 __all__ = [
@@ -258,7 +258,10 @@ _WEAK_METHODS = {
 
 
 def _weak_starts(X: np.ndarray, ball_q, p: float, restarts: int, seed: int):
-    """Unit-ball starts for the weak-p search: row witnesses, the best grid points, random points."""
+    """Unit-ball starts for the weak-p and Cohen cut searches.
+
+    Row witnesses, the best grid points (d <= 3), then `restarts` random points.
+    """
     d = X.shape[1]
     for row in X:
         yield dual_witness(row, ball_q)
@@ -379,298 +382,80 @@ def norm_rad_mc(s: VecSeq, samples: int, seed: int = 0) -> NormBracket:
 # Cohen (projective) norm
 # ---------------------------------------------------------------------------
 
-def _cohen_lower(s: VecSeq, p: float, seed: int, hint: tuple | None = None) -> float:
-    """Best certified dual value: sum_j <phi_j, x_j> for a feasible (phi_j).
+#: Rounds of cuts `_cohen_bracket` runs before it settles for its best bracket.
+_CUT_ROUNDS = 24
 
-    Feasibility is enforced by dividing each candidate by the *upper* end
-    of its weak-p* bracket, so the returned value is a true lower bound
-    even when that inner norm is itself estimated.
-    """
-    X = s.mat
-    k, d = X.shape
-    q = s.space.q
-    qstar = conjugate_exponent(q)
-    dual_space = s.space.dual
-    pstar = conjugate_exponent(as_exponent(p))
-    pv = float(pstar)
-
-    def value(Phi: np.ndarray) -> float:
-        num = float((Phi * X).sum())
-        if num <= 0.0:
-            return 0.0
-        den = norm_weak_p(VecSeq(dual_space, Phi), pstar, seed=seed, restarts=8).upper
-        if den <= 0.0:
-            return 0.0
-        return num / den
-
-    def quick_starts(Phi: np.ndarray):
-        # the best grid point (d <= 3) or the peak-row and column-sum witnesses
-        if d <= 3:
-            grid = sphere_grid(d, float(q))
-            yield grid[int(np.argmax(lq_norm(Phi @ grid.T, pv, axis=0)))]
-        else:
-            yield dual_witness(Phi[int(np.argmax(lq_norm(Phi, 2, axis=1)))], q)
-            yield dual_witness(Phi.sum(axis=0), q)
-
-    def value_quick(Phi: np.ndarray) -> float:
-        # search-loop surrogate: the same quantity from a few dual updates
-        # (exact on the l_1 ball and on small l_inf balls); the winning
-        # candidate is re-scored by the full evaluator
-        num = float((Phi * X).sum())
-        if num <= 0.0:
-            return 0.0
-        den, _, method = ball_max(Phi, q, pv, quick_starts(Phi), 4 if d <= 3 else 14)
-        if method == "power-iteration":
-            den = min(den * (1.0 + ASCENT_SLACK), lq_norm(lq_norm(Phi, qstar, axis=1), pv))
-        return num / den if den > 0 else 0.0
-
-    row_norms = lq_norm(X, q, axis=1)
-    witnesses = np.stack([dual_witness(row, qstar) for row in X])
-    candidates = [witnesses]
-    if d <= 3:
-        prog = _dual_program_candidate(X, float(p), q)
-        if prog is not None:
-            candidates.append(prog)
-    if row_norms.any():
-        w = row_norms ** (float(p) - 1.0)
-        candidates.append(witnesses * w[:, None])
-    u, _, vt = np.linalg.svd(X, full_matrices=False)
-    candidates.append(u @ vt)
-    if hint is not None:
-        # align with the cheapest decomposition found: pick T with
-        # T a_i = ||a_i||_p * (norming functional of b_i); at a tight
-        # decomposition this T is nearly dual-feasible after rescaling
-        A, B = hint
-        keep = [i for i in range(A.shape[0]) if A[i].any() and B[i].any()]
-        if keep:
-            A, B = A[keep], B[keep]
-            psi = np.stack([dual_witness(b, qstar) for b in B])
-            targets = psi * lq_norm(A, p, axis=1)[:, None]
-            T = targets.T @ np.linalg.pinv(A.T)  # d x k
-            candidates.append(T.T)
-
-    best_val, best_phi = 0.0, candidates[0]
-    for cand in candidates:
-        v = value(cand)
-        if v > best_val:
-            best_val, best_phi = v, cand
-
-    from scipy import optimize
-
-    res = optimize.minimize(
-        lambda flat: -value_quick(flat.reshape(k, d)),
-        best_phi.ravel(),
-        method="Powell",
-        options={"maxfev": 300, "xtol": 1e-8, "ftol": 1e-10},
-    )
-    if -res.fun > best_val:
-        best_val = max(best_val, value(res.x.reshape(k, d)))
-    return best_val
+#: A dual value above 1 + `_CUT_TOL` at a unit-ball point makes that point a new atom.
+_CUT_TOL = 1e-5
 
 
-def _dual_program_candidate(X: np.ndarray, p: float, q) -> np.ndarray | None:
-    """Solve max <Phi, X> over the dual-feasible set, cutting-plane style.
+def _cohen_bracket(X: np.ndarray, q, p, seed: int) -> tuple[float, float]:
+    """(lower, upper) for the projective norm of X in l_p^k (x)_pi l_q^d.
 
-    Feasibility sup_{x in B_q} ||Phi x||_{p*} <= 1 is imposed on the
-    extreme points of the ball for q = inf (exact) and on an adaptively
-    grown subset of the sphere grid otherwise. The result is only a
-    candidate: the caller re-certifies it through the rescaling pipeline.
+    Cutting planes (J. E. Kelley, J. SIAM 8, 1960) on the dual program
+    max <Phi, X> subject to ||Phi b||_{p*} <= 1 on the l_q unit ball. Each
+    round solves it by SLSQP with ||Phi b_i||_{p*}^2 <= 1 imposed on a set
+    of unit atoms b_i: the sign vertices for q = inf and d <= 6 (exact in
+    one round), else the e_i, the rows of X and 4 seeded random points.
+    The KKT multipliers give X = sum_i a_i b_i^T + R with
+    a_i = lambda_i grad ||Phi b_i||_{p*}^2, priced at
+    sum_i ||a_i||_p ||b_i||_q + sum_j ||R_j||_q: an upper end at any Phi.
+    Every `power_iterate` run from the 4 most active atoms and the weak-p*
+    starts of Phi that ends above 1 + `_CUT_TOL` adds its end point as an
+    atom; the rounds stop when none does. The lower end is <Phi, X> over
+    the upper end of the weak-p* bracket of the best-scoring Phi.
     """
     from scipy import optimize
 
     k, d = X.shape
-    qf = float(q)
-    pstar = p / (p - 1.0) if p > 1.0 else math.inf
-    if pstar == math.inf:
-        return None
-    if qf == math.inf:
-        pts = np.vstack(list(sign_patterns(np.eye(d), fix_first=True)))
-        rounds = 1
-    else:
-        pts = sphere_grid(d, qf)
-        rounds = 3
-    active = pts[:: max(1, len(pts) // 16)].copy()
-    phi0 = np.zeros(k * d)
-
-    for _ in range(rounds):
-        acts = active
-
-        def neg_obj(z):
-            return -float(z.reshape(k, d).ravel() @ X.ravel())
-
-        def cons_fun(z):
-            return 1.0 - lq_norm(z.reshape(k, d) @ acts.T, pstar, axis=0)
-
-        res = optimize.minimize(
-            neg_obj, phi0, method="SLSQP",
-            constraints=[{"type": "ineq", "fun": cons_fun}],
-            options={"maxiter": 120, "ftol": 1e-12},
-        )
-        if not np.isfinite(res.fun):
-            return None
-        phi0 = res.x
-        Phi = res.x.reshape(k, d)
-        scores = lq_norm(Phi @ pts.T, pstar, axis=0)
-        worst = np.argsort(scores)[-8:]
-        if scores[worst[-1]] <= 1.0 + 1e-9:
-            break
-        active = np.vstack([active, pts[worst]])
-    return phi0.reshape(k, d)
-
-
-def _decomposition_cost(A: np.ndarray, B: np.ndarray, p: float, q) -> float:
-    return float((lq_norm(A, p, axis=1) * lq_norm(B, q, axis=1)).sum())
-
-
-def _vertex_program_upper(X: np.ndarray, p: float) -> tuple[float, tuple]:
-    """Decompose X over the sign vertices of the l_inf ball (q = inf only).
-
-    Any rank-one term a (x) b rewrites at equal cost over the vertices of
-    the l_inf ball, so minimizing sum_v ||a_v||_p subject to
-    sum_v a_v v^T = X is the exact projective norm. The smoothed program
-    is solved locally; the returned cost is evaluated at an exactly
-    feasible point (least-squares correction), hence a true upper bound.
-    """
-    from scipy import optimize
-
-    k, d = X.shape
-    verts = np.vstack(list(sign_patterns(np.eye(d), fix_first=True)))  # (V, d)
-    V = verts.shape[0]
-    M = verts.T  # d x V; constraint: coeff @ M.T... per row j: verts.T @ a_j = X[j]
-
-    def unpack(z):
-        return z.reshape(V, k)
-
-    def make_feasible(z):
-        A = unpack(z)
-        # correct each sequence slot independently: verts^T a_.j = X[j,:]
-        resid = verts.T @ A - X.T  # d x k
-        A = A - np.linalg.pinv(verts.T) @ resid
-        return A
-
-    def smooth_obj(z, eps):
-        A = unpack(z)
-        return float(sum((lq_norm(A[v], p) ** 2 + eps * eps) ** 0.5 for v in range(V)))
-
-    z0 = np.linalg.pinv(verts.T).dot(X.T).ravel()
-    cons = {
-        "type": "eq",
-        "fun": lambda z: (verts.T @ unpack(z) - X.T).ravel(),
-    }
-    z = z0
-    for eps in (1e-2, 1e-5):
-        res = optimize.minimize(
-            smooth_obj, z, args=(eps,), constraints=[cons], method="SLSQP",
-            options={"maxiter": 160, "ftol": 1e-12},
-        )
-        if np.isfinite(res.fun):
-            z = res.x
-    A = make_feasible(z)
-    cost = _decomposition_cost(A.reshape(V, k), verts, p, INF)
-    return cost, (A.reshape(V, k), verts)
-
-
-def _cohen_upper(s: VecSeq, p: float, seed: int) -> tuple[float, tuple]:
-    """Cheapest explicit decomposition sum_i a_i (x) b_i found for the sequence tensor.
-
-    Returns the cost and the factor pair (A, B) realizing it, rows a_i in
-    l_p^k and b_i in the target space.
-    """
-    X = s.mat
-    k, d = X.shape
-    q = s.space.q
-
-    rows_factors = (np.eye(k), X.copy())
-    best, factors = _decomposition_cost(*rows_factors, p, q), rows_factors
-    cols_factors = (X.T.copy(), np.eye(d))
-    cand = _decomposition_cost(*cols_factors, p, q)
-    if cand < best:
-        best, factors = cand, cols_factors
-
-    u, sig, vt = np.linalg.svd(X, full_matrices=False)
-    nz = sig > sig[0] * 1e-13 if sig.size else np.zeros(0, bool)
-    r = int(nz.sum())
-    if r == 0:
-        return 0.0, (np.zeros((1, k)), np.zeros((1, d)))
-    root = np.sqrt(sig[nz])
-    A0 = (u[:, nz] * root).T  # r x k
-    B0 = vt[nz] * root[:, None]  # r x d
-    cand = _decomposition_cost(A0, B0, p, q)
-    if cand < best:
-        best, factors = cand, (A0, B0)
-
-    rng = np.random.default_rng(seed)
-
-    def orbit_search(A: np.ndarray, B: np.ndarray, maxfev: int, tries: int):
-        # all decompositions with the same number of terms are one GL
-        # orbit away from this one, so an unconstrained local search over
-        # the mixing matrix covers them
-        from scipy import optimize
-
-        nonlocal best, factors
-        rr = A.shape[0]
-
-        def cost_of(flat: np.ndarray) -> float:
-            G = np.eye(rr) + flat.reshape(rr, rr)
-            det = np.linalg.det(G)
-            if abs(det) < 1e-9:
-                return 1e12
-            return _decomposition_cost(G.T @ A, np.linalg.solve(G, B), p, q)
-
-        for t in range(tries):
-            z0 = np.zeros(rr * rr) if t == 0 else rng.standard_normal(rr * rr) * 0.4
-            res = optimize.minimize(
-                cost_of, z0, method="Powell",
-                options={"maxfev": maxfev, "xtol": 1e-8, "ftol": 1e-10},
-            )
-            if res.fun < best:
-                G = np.eye(rr) + res.x.reshape(rr, rr)
-                best, factors = float(res.fun), (G.T @ A, np.linalg.solve(G, B))
-
-    orbit_search(A0, B0, 600, 2)
-    if r <= 5:
-        pad_a, pad_b = np.zeros((1, k)), np.zeros((1, d))
-        orbit_search(np.vstack([A0, pad_a]), np.vstack([B0, pad_b]), 450, 1)
-
+    pstar = conjugate_exponent(p)
+    ps, x = float(pstar), X.ravel()
     if q == INF and d <= 6:
-        cand, vfac = _vertex_program_upper(X, p)
-        if cand < best:
-            best, factors = cand, vfac
+        B = np.vstack(list(sign_patterns(np.eye(d), fix_first=True)))
+    else:
+        B = np.vstack([np.eye(d), X, np.random.default_rng(seed).standard_normal((4, d))])
+        B = B / lq_norm(B, q, axis=1)[:, None]
 
-    # greedy rank-one peeling of the residual, trivial completion priced per step
-    Y = X.copy()
-    peels: list[tuple[np.ndarray, np.ndarray]] = []
-    peel_cost = 0.0
-    for _ in range(50):
-        uu, ss, vv = np.linalg.svd(Y, full_matrices=False)
-        if ss[0] <= 1e-14:
+    def grads(z):
+        # columns 2 ||y_i|| grad ||y_i||_{p*} at y_i = Phi b_i, and the norms ||y_i||_{p*}
+        Y = z.reshape(k, d) @ B.T
+        n = lq_norm(Y, ps, axis=0)
+        U = Y / np.where(n > 0.0, n, 1.0)
+        return 2.0 * n * np.sign(U) * np.abs(U) ** (ps - 1.0), n
+
+    # B grows between rounds; the constraint closures always read the current atoms
+    cons = {
+        "type": "ineq",
+        "fun": lambda z: 1.0 - grads(z)[1] ** 2,
+        "jac": lambda z: -(grads(z)[0].T[:, :, None] * B[:, None, :]).reshape(len(B), -1),
+    }
+    z, upper, best = np.zeros(k * d), math.inf, (0.0, np.zeros((k, d)))
+    for _ in range(_CUT_ROUNDS):
+        res = optimize.minimize(
+            lambda z: -float(z @ x), z, jac=lambda z: -x, method="SLSQP",
+            constraints=[cons], options={"maxiter": 200, "ftol": 1e-12},
+        )
+        z, Phi = res.x, res.x.reshape(k, d)
+        A = res.multipliers[:, None] * grads(z)[0].T
+        R = X - A.T @ B
+        cost = (lq_norm(A, p, axis=1) * lq_norm(B, q, axis=1)).sum() + lq_norm(R, q, axis=1).sum()
+        upper = min(upper, float(cost))
+        starts = [*B[np.argsort(res.multipliers)[-4:]], *_weak_starts(Phi, q, ps, 8, seed)]
+        runs = [power_iterate(Phi, q, ps, b, lq_norm(Phi @ b, ps), 10) for b in starts]
+        top = max(f for _, f in runs)
+        score = float(z @ x) / top if top > 0.0 else 0.0
+        if score > best[0]:
+            best = (score, Phi)
+        m = len(B)
+        for b, f in runs:
+            if f > 1.0 + _CUT_TOL and np.minimum(abs(B - b).max(1), abs(B + b).max(1)).min() > 1e-9:
+                B = np.vstack([B, b])
+        if len(B) == m:
             break
-        u1, v1 = uu[:, 0], vv[0]
-
-        qf = float(q)
-
-        def total_at(c: float) -> float:
-            resid = Y - c * np.outer(u1, v1)
-            return (
-                peel_cost
-                + abs(c) * lq_norm(u1, p) * lq_norm(v1, qf)
-                + float(lq_norm(resid, qf, axis=1).sum())
-            )
-
-        cs = ss[0] * np.linspace(0.0, 1.4, 15)
-        i = int(np.argmin([total_at(c) for c in cs]))
-        c = float(cs[i])
-        if c == 0.0:
-            break
-        peels.append((c * u1, v1.copy()))
-        peel_cost += c * lq_norm(u1, p) * lq_norm(v1, qf)
-        Y = Y - c * np.outer(u1, v1)
-        total = peel_cost + float(lq_norm(Y, qf, axis=1).sum())
-        if total < best:
-            A = np.vstack([np.stack([a for a, _ in peels]), np.eye(k)])
-            B = np.vstack([np.stack([b for _, b in peels]), Y])
-            best, factors = total, (A, B)
-    return best, factors
+    Phi = best[1]
+    num = float((Phi * X).sum())
+    den = norm_weak_p(VecSeq(Space(d, conjugate_exponent(q)), Phi), pstar, seed=seed, restarts=8).upper
+    return (num / den if num > 0.0 and den > 0.0 else 0.0), upper
 
 
 def norm_cohen(s: VecSeq, p, seed: int = 0) -> NormBracket:
@@ -678,8 +463,12 @@ def norm_cohen(s: VecSeq, p, seed: int = 0) -> NormBracket:
 
     Exact for p = 1 (sum of norms), scalars (plain l_p), singletons, l_1
     spaces (the l_1 factor splits off), and (p, q) = (2, 2) (trace norm).
-    Otherwise a heuristic bracket: certified dual lower bound against the
-    cheapest explicit decomposition found.
+    Otherwise `_cohen_bracket` on the rows scaled by their strong-p norm:
+    cutting planes on the dual program give a dual lower end, divided by
+    the heuristic weak-p* upper end of its functional, and the decomposition
+    its KKT multipliers price as the upper end (capped by the strong-1
+    norm). The width floor is about `ASCENT_SLACK`, the weak-p* slack,
+    unless that bracket is exact (q = inf).
     """
     p = _finite_exponent(p)
     if len(s) == 0 or not s.mat.any():
@@ -700,13 +489,10 @@ def norm_cohen(s: VecSeq, p, seed: int = 0) -> NormBracket:
         val = float(np.linalg.svd(X, compute_uv=False).sum())
         return NormBracket.exact_value(val, "svd-nuclear", seed)
 
-    pf = float(p)
-    scale = norm_strong_p(s, pf)
-    sn = VecSeq(s.space, X / scale)
-    upper_n, factors = _cohen_upper(sn, pf, seed)
-    lower = _cohen_lower(sn, pf, seed, hint=factors) * scale
-    upper = min(upper_n * scale, norm_strong_p(s, 1.0))
-    lower = min(lower, upper)
+    scale = norm_strong_p(s, p)
+    lower, upper = _cohen_bracket(X / scale, q, p, seed)
+    upper = min(upper * scale, norm_strong_p(s, 1.0))
+    lower = min(lower * scale, upper)
     return NormBracket(lower, upper, False, "dual-ascent/decomposition-search", seed)
 
 

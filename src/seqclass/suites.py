@@ -16,13 +16,11 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import __version__
-from ._jsonio import parse_exponent
 from .idealnorm import (
     IdealSpec,
     cohen_holder_stability,
     growth_experiment,
     ideal_norm,
-    ideal_ratio,
     limit_stability_experiment,
     scalar_compatibility_excess,
     stability_report,
@@ -36,8 +34,17 @@ from .multiop import (
     scalar_multiplication,
 )
 from .sampling import random_multiop, random_space, random_vecseq
-from .seqnorm import SeqClassSpec, VecSeq, norm_strong_p, norm_sup, seq_norm, truncate
-from .spaces import INF, Vector, vector_norm
+from .seqnorm import (
+    SeqClassSpec,
+    VecSeq,
+    norm_cohen,
+    norm_strong_p,
+    norm_sup,
+    norm_weak_p,
+    seq_norm,
+    truncate,
+)
+from .spaces import INF, Vector, as_exponent, vector_norm
 
 SUITE_NAMES = (
     "seqnorm-axioms",
@@ -167,7 +174,7 @@ class SuiteReport:
 def _sampler_args(cfg: dict):
     dims = cfg["dims"]
     dims = dims if isinstance(dims, int) else [int(d) for d in dims]
-    exps = tuple(parse_exponent(e) for e in cfg.get("exponents", _FULL_MENU))
+    exps = tuple(as_exponent(e) for e in cfg.get("exponents", _FULL_MENU))
     return dims, exps
 
 
@@ -280,8 +287,6 @@ def _suite_seqnorm_axioms(cfg: dict) -> CaseList:
             s = random_vecseq(rng, space, int(rng.integers(1, k_max + 1)))
             p = [1.0, 1.5, 2.0, 3.0][rng.integers(4)]
             sp = norm_strong_p(s, p)
-            from .seqnorm import norm_cohen, norm_weak_p
-
             wk = norm_weak_p(s, p, seed=seed)
             ch = norm_cohen(s, p, seed=seed)
             gaps = (

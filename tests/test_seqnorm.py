@@ -11,6 +11,7 @@ from seqclass._optim import ball_max
 from seqclass.spaces import INF, Space, Vector, lq_norm
 from seqclass.seqnorm import (
     NormBracket,
+    _cohen_bracket,
     SeqClassSpec,
     VecSeq,
     norm_cohen,
@@ -399,20 +400,89 @@ def test_cohen_l1_space_branch():
     assert b.lower == pytest.approx(expected, rel=1e-12)
 
 
-def test_cohen_sandwich_and_width():
+def cohen_width_corpus():
+    """60 small (sequence, p) pairs, most of them on the heuristic Cohen branch."""
     rng = np.random.default_rng(67)
-    widths = []
     for _ in range(60):
         k, d = int(rng.integers(2, 6)), int(rng.integers(2, 4))
         q = [Fraction(3, 2), 2, 3, INF][rng.integers(4)]
         p = [Fraction(4, 3), Fraction(3, 2), 2, 3][rng.integers(4)]
-        s = random_seq(rng, k, d, q)
+        yield random_seq(rng, k, d, q), p
+
+
+def test_cohen_sandwich_and_width():
+    widths = []
+    for s, p in cohen_width_corpus():
         b = norm_cohen(s, p, seed=3)
         assert norm_strong_p(s, float(p)) <= b.upper + 1e-9
         assert b.upper <= norm_strong_p(s, 1) + 1e-12
         assert b.lower <= b.upper
         widths.append(b.width / max(b.upper, 1e-30))
     assert max(widths) <= 0.10
+
+
+def test_cohen_width_corpus_tight():
+    # the width floor is the weak-p* slack ASCENT_SLACK = 1e-3
+    brackets = [norm_cohen(s, p, seed=3) for s, p in cohen_width_corpus()]
+    assert max(b.width / b.upper for b in brackets) <= 5e-3
+
+
+def assert_cohen_bracket_holds(X, q, p, exact):
+    lower, upper = _cohen_bracket(X, q, p, seed=11)
+    assert lower <= exact * (1 + 1e-9) and exact <= upper * (1 + 1e-9), (q, p)
+    assert upper - lower <= 1e-4 * upper, (q, p)
+
+
+def test_cohen_bracket_nuclear_norm():
+    # p = q = 2: the trace norm, with the weak-p* bracket the exact top singular value
+    rng = np.random.default_rng(101)
+    for _ in range(40):
+        X = rng.standard_normal((int(rng.integers(2, 6)), int(rng.integers(2, 5))))
+        assert_cohen_bracket_holds(X, 2, 2, np.linalg.svd(X, compute_uv=False).sum())
+
+
+def test_cohen_bracket_l1_columns():
+    # q = 1: the l_1 factor splits off, leaving the sum of the column l_p norms
+    rng = np.random.default_rng(103)
+    for _ in range(40):
+        X = rng.standard_normal((int(rng.integers(2, 6)), int(rng.integers(2, 5))))
+        p = [Fraction(4, 3), Fraction(3, 2), 2, 3][rng.integers(4)]
+        assert_cohen_bracket_holds(X, 1, p, sum(lq_norm(col, p) for col in X.T))
+
+
+def test_cohen_bracket_scalar_lp():
+    # d = 1: plain l_p. The weak-p* bracket is exact on the l_1 and l_inf
+    # balls only; elsewhere it carries the 1e-3 slack
+    rng = np.random.default_rng(107)
+    for _ in range(40):
+        X = rng.standard_normal((int(rng.integers(2, 8)), 1))
+        p = [Fraction(4, 3), Fraction(3, 2), 2, 3][rng.integers(4)]
+        assert_cohen_bracket_holds(X, [1, INF][rng.integers(2)], p, lq_norm(X[:, 0], p))
+
+
+def test_cohen_linf_brackets_tight():
+    # every sign vertex is an atom, and the weak-p* bracket on l_1 is exact
+    rng = np.random.default_rng(109)
+    for i in range(100):
+        k, d = int(rng.integers(2, 7)), int(rng.integers(2, 5))
+        p = [Fraction(4, 3), Fraction(3, 2), 2, 3][rng.integers(4)]
+        b = norm_cohen(random_seq(rng, k, d, INF), p, seed=i)
+        assert not b.exact
+        assert b.width <= 1e-6 * b.upper, (k, d, p)
+
+
+def test_cohen_heuristic_exactly_homogeneous_at_powers_of_two():
+    rng = np.random.default_rng(113)
+    for i in range(60):
+        k, d = int(rng.integers(2, 6)), int(rng.integers(2, 4))
+        q = [Fraction(3, 2), 2, 3, INF][rng.integers(4)]
+        p = [Fraction(4, 3), Fraction(3, 2), 3][rng.integers(3)]
+        s = random_seq(rng, k, d, q)
+        ref = norm_cohen(s, p, seed=i)
+        assert not ref.exact
+        for c in (2.0**600, 2.0**-600):
+            b = norm_cohen(VecSeq(s.space, c * s.mat), p, seed=i)
+            assert (b.lower, b.upper) == (c * ref.lower, c * ref.upper), (i, c)
 
 
 def test_cohen_deterministic():
