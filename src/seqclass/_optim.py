@@ -3,9 +3,10 @@
 `ball_max` is the one routine for max ||M x||_p over an l_q unit ball,
 the problem under the weak-p norm, the one-slot step of the operator-norm
 search and the Cohen dual rescaling; it is exact on the ball's vertices
-and at p = q = 2, and runs `power_iterate` otherwise. All routines are
-pure functions of their inputs, so a fixed seed reproduces results bit
-for bit (single-threaded).
+and at p = q = 2, and otherwise makes one `power_iterate` call, the one
+dual-update loop, which advances every start as a row of one block. All
+routines are pure functions of their inputs, so a fixed seed reproduces
+results bit for bit (single-threaded).
 """
 
 from __future__ import annotations
@@ -99,29 +100,40 @@ def sign_patterns(M: np.ndarray, fix_first: bool = False, block: int = DEFAULT_B
         yield (low + h[:, None]).T
 
 
-def power_iterate(
-    M: np.ndarray, ball_q, p, x: np.ndarray, f: float, iters: int
-) -> tuple[np.ndarray, float]:
+def power_iterate(M: np.ndarray, ball_q, p, X: np.ndarray, iters: int) -> tuple[np.ndarray, np.ndarray]:
     """Monotone dual updates for max ||M x||_p over the l_{ball_q} unit ball.
 
     Boyd's power method (D. W. Boyd, Linear Algebra Appl. 9, 1974; N. J.
-    Higham, Numer. Math. 62, 1992): x moves to the ball point that best
-    pairs with the gradient of ||M .||_p at x, for at most `iters` steps
-    and only while f = ||M x||_p rises by more than 1e-15 relative (an
-    absolute threshold would stop every search on a matrix scaled by
-    2^-600). Returns the last accepted (x, f), so f never falls below its
-    start.
+    Higham, Numer. Math. 62, 1992) from each row of the (S, d) block of
+    starts `X` at once, one matmul per product for the whole block, as in
+    the block 1-norm estimator (N. J. Higham & F. Tisseur, SIAM J. Matrix
+    Anal. Appl. 21, 2000). A row x moves to the ball point that best pairs
+    with the gradient of ||M .||_p at x, for at most `iters` steps and only
+    while f = ||M x||_p rises by more than 1e-15 relative (an absolute
+    threshold would stop every search on a matrix scaled by 2^-600); the
+    first step that fails freezes the row. Returns the last accepted rows
+    and their values (X, f), so no f falls below its start.
     """
+    pf, qf = float(p), float(ball_q)
+    X = np.array(X, dtype=float)  # a copy: frozen rows are kept by writing into it
+    Y = X @ M.T  # the rows' images M x, each kept from the step that accepted it
+    f = lq_norm(Y, pf, axis=1)
+    live = np.isfinite(f)  # a row at f = inf or NaN cannot rise
     for _ in range(iters):
-        g = M.T @ dual_direction(M @ x, p)
-        if not g.any():
+        cand = dual_witness(dual_direction(Y, pf) @ M, qf)
+        Yc = cand @ M.T
+        fc = lq_norm(Yc, pf, axis=1)
+        live &= fc > f * (1.0 + 1e-15)
+        n = np.count_nonzero(live)
+        if not n:
             break
-        cand = dual_witness(g, ball_q)
-        fc = lq_norm(M @ cand, p)
-        if fc <= f * (1.0 + 1e-15):
-            break
-        x, f = cand, fc
-    return x, f
+        if n == len(live):  # every row rose: the candidates are the new block
+            X, Y, f = cand, Yc, fc
+            continue
+        np.copyto(X, cand, where=live[:, None])
+        np.copyto(Y, Yc, where=live[:, None])
+        np.copyto(f, fc, where=live)
+    return X, f
 
 
 def ball_max(
@@ -133,10 +145,10 @@ def ball_max(
     Exact on the +-e_i of the l_1 ball, on the sign vertices of the l_inf
     ball when d <= `sign_cutoff`, and by the top singular value at
     ball_q = p = 2 (methods "l1-ball-vertices", "linf-ball-vertices",
-    "svd-spectral"). Otherwise ("power-iteration") the best
-    `power_iterate` run over the unit-ball points `starts`, an iterable
-    that only this branch consumes: a lower end attained by the returned
-    maximizer.
+    "svd-spectral"). Otherwise ("power-iteration") one `power_iterate`
+    call on the (S, d) block of unit-ball points `starts()`, a callable
+    that only this branch calls, and the first best row: a lower end
+    attained by the returned maximizer (0 with no start).
     """
     d = M.shape[1]
     if ball_q == 1:
@@ -158,6 +170,8 @@ def ball_max(
     if ball_q == 2 and p == 2:
         _, sig, vt = np.linalg.svd(M, full_matrices=False)
         return float(sig[0]), vt[0], "svd-spectral"
-    runs = (power_iterate(M, ball_q, p, x0, lq_norm(M @ x0, p), iters) for x0 in starts)
-    x, f = max(runs, key=lambda run: run[1], default=(np.zeros(d), 0.0))  # first best run
-    return f, x, "power-iteration"
+    X, f = power_iterate(M, ball_q, p, starts(), iters)
+    if not len(f):
+        return 0.0, np.zeros(d), "power-iteration"
+    i = int(np.argmax(f))  # the first best row
+    return float(f[i]), X[i], "power-iteration"

@@ -162,7 +162,7 @@ def op_norm(
             for m in range(n):
                 M = _contract_all_but(A, xs, m)
                 if M.any():
-                    xs[m] = ball_max(M, A.domain[m].q, q_out, (xs[m],), 20)[1]
+                    xs[m] = ball_max(M, A.domain[m].q, q_out, lambda: xs[m][None], 20)[1]
             fn = _value(A, xs)
             if fn <= f * (1.0 + 1e-12):
                 f = max(f, fn)

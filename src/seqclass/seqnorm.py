@@ -257,22 +257,20 @@ _WEAK_METHODS = {
 }
 
 
-def _weak_starts(X: np.ndarray, ball_q, p: float, restarts: int, seed: int):
-    """Unit-ball starts for the weak-p and Cohen cut searches.
+def _weak_starts(X: np.ndarray, ball_q, p: float, restarts: int, seed: int) -> np.ndarray:
+    """(S, d) block of unit-ball starts for the weak-p and Cohen cut searches.
 
     Row witnesses, the best grid points (d <= 3), then `restarts` random points.
     """
     d = X.shape[1]
-    for row in X:
-        yield dual_witness(row, ball_q)
+    blocks = [dual_witness(X, ball_q)]
     if d <= 3:
         # brace the restarts with the best points of a deterministic grid
         grid = sphere_grid(d, float(ball_q))
-        yield from grid[np.argsort(lq_norm(X @ grid.T, p, axis=0))[-3:]]
-    rng = np.random.default_rng(seed)
-    for _ in range(restarts):
-        v = rng.standard_normal(d)
-        yield v / lq_norm(v, ball_q)
+        blocks.append(grid[np.argsort(lq_norm(X @ grid.T, p, axis=0))[-3:]])
+    V = np.random.default_rng(seed).standard_normal((restarts, d))
+    blocks.append(V / lq_norm(V, ball_q, axis=1)[:, None])
+    return np.vstack(blocks)
 
 
 def norm_weak_p(
@@ -312,7 +310,7 @@ def norm_weak_p(
     ball_q = conjugate_exponent(q)
     X, e = unit_scaled(X)
     val, _, method = ball_max(
-        X, ball_q, p, _weak_starts(X, ball_q, p, restarts, seed), sign_cutoff=sign_cutoff
+        X, ball_q, p, lambda: _weak_starts(X, ball_q, p, restarts, seed), sign_cutoff=sign_cutoff
     )
     val = math.ldexp(val, e)
     if method != "power-iteration":
@@ -400,10 +398,11 @@ def _cohen_bracket(X: np.ndarray, q, p, seed: int) -> tuple[float, float]:
     The KKT multipliers give X = sum_i a_i b_i^T + R with
     a_i = lambda_i grad ||Phi b_i||_{p*}^2, priced at
     sum_i ||a_i||_p ||b_i||_q + sum_j ||R_j||_q: an upper end at any Phi.
-    Every `power_iterate` run from the 4 most active atoms and the weak-p*
-    starts of Phi that ends above 1 + `_CUT_TOL` adds its end point as an
-    atom; the rounds stop when none does. The lower end is <Phi, X> over
-    the upper end of the weak-p* bracket of the best-scoring Phi.
+    One `power_iterate` call runs from the 4 most active atoms and the
+    weak-p* starts of Phi, and each row that ends above 1 + `_CUT_TOL`
+    adds its end point as an atom; the rounds stop when none does. The
+    lower end is <Phi, X> over the upper end of the weak-p* bracket of the
+    best-scoring Phi.
     """
     from scipy import optimize
 
@@ -440,14 +439,14 @@ def _cohen_bracket(X: np.ndarray, q, p, seed: int) -> tuple[float, float]:
         R = X - A.T @ B
         cost = (lq_norm(A, p, axis=1) * lq_norm(B, q, axis=1)).sum() + lq_norm(R, q, axis=1).sum()
         upper = min(upper, float(cost))
-        starts = [*B[np.argsort(res.multipliers)[-4:]], *_weak_starts(Phi, q, ps, 8, seed)]
-        runs = [power_iterate(Phi, q, ps, b, lq_norm(Phi @ b, ps), 10) for b in starts]
-        top = max(f for _, f in runs)
+        starts = np.vstack([B[np.argsort(res.multipliers)[-4:]], _weak_starts(Phi, q, ps, 8, seed)])
+        ends, fs = power_iterate(Phi, q, ps, starts, 10)
+        top = float(fs.max())
         score = float(z @ x) / top if top > 0.0 else 0.0
         if score > best[0]:
             best = (score, Phi)
         m = len(B)
-        for b, f in runs:
+        for b, f in zip(ends, fs):
             if f > 1.0 + _CUT_TOL and np.minimum(abs(B - b).max(1), abs(B + b).max(1)).min() > 1e-9:
                 B = np.vstack([B, b])
         if len(B) == m:

@@ -60,20 +60,62 @@ def test_empty_sum():
     assert len(blocks) == 1 and np.array_equal(blocks[0], np.zeros((1, 4)))
 
 
+def unit_rows(rng, n, d, ball_q):
+    """n random points of the l_{ball_q} unit sphere in dimension d, as rows."""
+    V = rng.standard_normal((n, d))
+    return V / lq_norm(V, ball_q, axis=1)[:, None]
+
+
 @pytest.mark.parametrize("p", [1, Fraction(3, 2), 2, 3, INF])
 @pytest.mark.parametrize("ball_q", [1, Fraction(4, 3), 2, 4, INF])
 def test_power_iterate_is_monotone_and_stays_in_the_ball(ball_q, p):
     rng = np.random.default_rng(29)
-    for _ in range(30):
+    for trial in range(30):
         k, d = (int(n) for n in rng.integers(1, 6, size=2))
         M = rng.standard_normal((k, d))
-        v = rng.standard_normal(d)
-        x0 = v / lq_norm(v, ball_q)
-        f0 = lq_norm(M @ x0, p)
-        x, f = power_iterate(M, ball_q, p, x0, f0, 20)
-        assert f >= f0
-        assert lq_norm(x, ball_q) <= 1.0 + 1e-12
-        assert f == lq_norm(M @ x, p)
+        X0 = unit_rows(rng, 1 if trial % 2 else 7, d, ball_q)
+        X, f = power_iterate(M, ball_q, p, X0, 20)
+        assert X.shape == X0.shape and f.shape == (len(X0),)
+        # references through the block path: BLAS may sum a block product in another
+        # order than M @ x, and the whole-array lq_norm takes its root with another pow
+        f0, fx = lq_norm(X0 @ M.T, p, axis=1), lq_norm(X @ M.T, p, axis=1)
+        for i in range(len(X0)):
+            assert f[i] >= f0[i]
+            assert lq_norm(X[i], ball_q) <= 1.0 + 1e-12
+            assert f[i] == fx[i]
+
+
+def solo_steps(M, ball_q, p, x0, iters):
+    """Steps a one-row run from x0 accepts, taken one call at a time."""
+    x = x0[None]
+    for t in range(iters):
+        nxt, _ = power_iterate(M, ball_q, p, x, 1)
+        if np.array_equal(nxt, x):
+            return t
+        x = nxt
+    return iters
+
+
+@pytest.mark.parametrize("p", [1, Fraction(3, 2), 2, 3, INF])
+@pytest.mark.parametrize("ball_q", [1, Fraction(4, 3), 2, 4, INF])
+def test_power_iterate_rows_match_solo_runs(ball_q, p):
+    # a block advances each row as if it ran alone, up to the order BLAS sums
+    # a product in; rows stop at different steps, and a zero M stops every row
+    rng = np.random.default_rng(41)
+    mixed = False
+    for trial in range(20):
+        k, d = (int(n) for n in rng.integers(1, 6, size=2))
+        M = np.zeros((k, d)) if trial == 0 else rng.standard_normal((k, d))
+        X0 = unit_rows(rng, 7, d, ball_q)
+        X, f = power_iterate(M, ball_q, p, X0, 30)
+        for i in range(len(X0)):
+            x, fi = power_iterate(M, ball_q, p, X0[i:i + 1], 30)
+            assert abs(f[i] - fi[0]) <= 1e-13 * fi[0], (trial, i)
+        if trial == 0:
+            assert np.array_equal(X, X0) and not f.any()
+        mixed = mixed or len({solo_steps(M, ball_q, p, x0, 30) for x0 in X0}) > 1
+    # on the l_1 ball at p = 1 every start reaches its vertex in one step
+    assert mixed or ball_q == p == 1
 
 
 def ball_cases(rng):
@@ -83,6 +125,10 @@ def ball_cases(rng):
         k, d = (int(n) for n in rng.integers(1, 6, size=2))
         yield rng.standard_normal((k, d))
     yield rng.standard_normal((2, 17))
+
+
+def no_starts():
+    raise AssertionError("an exact branch asked for starts")
 
 
 def assert_attained(M, ball_q, p, val, x):
@@ -101,7 +147,7 @@ def test_ball_max_exact_branches_match_brute_force(p):
         if p == 2:
             refs.append((2, "svd-spectral", float(np.sqrt(np.linalg.eigvalsh(M.T @ M).max()))))
         for ball_q, method, want in refs:
-            val, x, got = ball_max(M, ball_q, p, ())
+            val, x, got = ball_max(M, ball_q, p, no_starts)
             assert got == method
             assert abs(val - want) <= 1e-12 * max(want, 1e-300), (ball_q, M.shape)
             assert_attained(M, ball_q, p, val, x)
@@ -113,14 +159,14 @@ def test_ball_max_power_branch_is_attained_and_below_exact(ball_q, p):
     rng = np.random.default_rng(37)
     for M in ball_cases(rng):
         d = M.shape[1]
-        starts = [v / lq_norm(v, ball_q) for v in rng.standard_normal((4, d))]
-        val, x, method = ball_max(M, ball_q, p, iter(starts), sign_cutoff=0)
+        starts = unit_rows(rng, 4, d, ball_q)
+        val, x, method = ball_max(M, ball_q, p, lambda: starts, sign_cutoff=0)
         if ball_q == 2 and p == 2:
             assert method == "svd-spectral"
             continue
         assert method == "power-iteration"
         assert_attained(M, ball_q, p, val, x)
-        assert val >= max(lq_norm(M @ x0, p) for x0 in starts)
+        assert val >= lq_norm(starts @ M.T, p, axis=1).max()
         if ball_q == INF:
-            assert val <= ball_max(M, INF, p, ())[0] * (1.0 + 1e-12)
-        assert ball_max(M, ball_q, p, (), sign_cutoff=0)[:1] == (0.0,)
+            assert val <= ball_max(M, INF, p, no_starts)[0] * (1.0 + 1e-12)
+        assert ball_max(M, ball_q, p, lambda: np.empty((0, d)), sign_cutoff=0)[:1] == (0.0,)

@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from seqclass import seqnorm
 from seqclass._optim import ball_max
 from seqclass.spaces import INF, Space, Vector, lq_norm
 from seqclass.seqnorm import (
@@ -139,7 +140,7 @@ def test_weak_exact_branches_match_each_other():
         p = rng.choice([1.5, 2.0, 3.0])
         s = VecSeq(Space(d, 1), X)
         direct = norm_weak_p(s, p)
-        val, _, method = ball_max(X, INF, p, ())  # the dual l_inf vertex branch itself
+        val, _, method = ball_max(X, INF, p, None)  # the dual l_inf vertex branch itself
         assert method == "linf-ball-vertices"
         assert direct.lower == pytest.approx(val, rel=1e-10)
 
@@ -169,6 +170,22 @@ def test_weak_svd_branch():
     # independent arithmetic path: largest eigenvalue of the Gram matrix
     lam = np.linalg.eigvalsh(X.T @ X).max()
     assert b.lower == pytest.approx(math.sqrt(lam), rel=1e-10)
+
+
+def test_weak_exact_branches_build_no_starts(monkeypatch):
+    def no_starts(*args):
+        raise AssertionError("an exact branch built the power-iteration starts")
+
+    monkeypatch.setattr(seqnorm, "_weak_starts", no_starts)
+    X = np.random.default_rng(13).standard_normal((5, 3))
+    for q, p, method in (
+        (INF, 1.5, "dual-l1-extreme-points"),
+        (1, 3, "dual-linf-vertices"),
+        (2, 2, "svd-spectral"),
+        (Fraction(3, 2), 1, "sign-enumeration"),
+    ):
+        b = norm_weak_p(VecSeq(Space(3, q), X), p)
+        assert b.exact and b.method == method
 
 
 def test_weak_ascent_vs_sign_oracle():

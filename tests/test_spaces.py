@@ -15,6 +15,7 @@ from seqclass.spaces import (
     as_exponent,
     conjugate_exponent,
     dual_direction,
+    dual_witness,
     lq_norm,
     norming_functional,
     pairing,
@@ -84,6 +85,27 @@ def test_dual_direction_attains_holder(p):
         w = dual_direction(r, p)
         assert w @ r == pytest.approx(lq_norm(w, pstar) * lq_norm(r, p), rel=1e-12)
     assert not dual_direction(np.zeros(3), p).any()
+
+
+@pytest.mark.parametrize("q", Q_VALUES)
+def test_dual_kernels_on_a_stack_match_the_rows(q):
+    # zero rows, tied peaks (first peak, lowest index) and signed ties included
+    rng = np.random.default_rng(23)
+    R = rng.standard_normal((12, 4))
+    R[3] = 0.0
+    R[5] = [2.0, -2.0, 1.0, 2.0]
+    R[7] = [-1.0, 0.5, -1.0, 0.0]
+    R[9, 1:] = 0.0
+    for f in (dual_direction, dual_witness):
+        got = f(R, q)
+        assert got.shape == R.shape
+        for r, g in zip(R, got):
+            want = f(r, q)
+            assert np.array_equal(g, want) and np.array_equal(np.signbit(g), np.signbit(want)), f
+        assert not got[3].any()
+        assert np.array_equal(f(R.reshape(3, 4, 4), q), got.reshape(3, 4, 4))
+    assert np.array_equal(dual_direction(R[5], INF), [1.0, 0.0, 0.0, 0.0])
+    assert np.array_equal(dual_witness(R[7], 1), [-1.0, 0.0, 0.0, 0.0])
 
 
 def test_conjugate_exponent_examples():
