@@ -28,10 +28,17 @@ SIGN_CUTOFF = 20
 GRID_POINTS = 512
 
 
-def unit_scaled(X: np.ndarray) -> tuple[np.ndarray, int]:
-    """X * 2^-e with max|X * 2^-e| in [1/2, 1): exact, and no sum of k rows overflows."""
-    e = math.frexp(float(np.abs(X).max()))[1]
-    return np.ldexp(X, -e), e
+def unit_scaled(X: np.ndarray):
+    """X * 2^-e with max|X * 2^-e| in [1/2, 1): exact, and no sum of k rows overflows.
+
+    X is a (k, d) matrix, with an int e, or a (B, k, d) stack scaled item
+    by item, with an int array e.
+    """
+    if X.ndim == 2:
+        e = math.frexp(float(np.abs(X).max()))[1]
+        return np.ldexp(X, -e), e
+    e = np.frexp(np.abs(X).max(axis=(-2, -1)))[1]
+    return np.ldexp(X, -e[:, None, None]), e
 
 
 @lru_cache(maxsize=64)
@@ -62,23 +69,26 @@ def sphere_grid(d: int, qf: float) -> np.ndarray:
 
 
 def _signed_sums(S: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """(d, 2^r) table whose column i is S + sum_j (+-1) rows[j], bit j of i giving the sign.
+    """(..., d, 2^r) table whose column i is S + sum_j (+-1) rows[..., j, :], bit j of i giving the sign.
 
-    `S` is a (d, 1) column and `rows` is (r, d).
+    `S` is a (..., d, 1) column and `rows` is (..., r, d).
     """
-    for m in rows[:, :, None]:
-        S = np.concatenate([S - m, S + m], axis=1)
+    for j in range(rows.shape[-2]):
+        m = rows[..., j, :, None]
+        S = np.concatenate([S - m, S + m], axis=-1)
     return S
 
 
 def sign_patterns(M: np.ndarray, fix_first: bool = False, block: int = DEFAULT_BLOCK) -> Iterator[np.ndarray]:
-    """Yield the signed sums eps @ M over eps in {-1,+1}^k, in (B, d) blocks.
+    """Yield the signed sums eps @ M over eps in {-1,+1}^k, in (R, d) blocks.
 
     Bit j of the pattern index sets eps_j, low bits fastest. With
     `fix_first` eps_0 is pinned to +1, halving the enumeration; valid
     whenever the consumer is invariant under global sign flips. Blocks hold
-    min(block, 2^free) rows, `block` being a power of two.
-    `sign_patterns(np.eye(k))` yields the +-1 patterns themselves.
+    R = min(block, 2^free) rows, `block` being a power of two.
+    `sign_patterns(np.eye(k))` yields the +-1 patterns themselves. A
+    (B, k, d) stack of matrices yields (B, R, d) blocks, and item i of each
+    block is the block of M[i] alone, bit for bit.
 
     Meet in the middle (Horowitz & Sahni, J. ACM 21, 1974): the partial
     sums of the low log2(block) free signs and of the remaining high signs
@@ -88,16 +98,18 @@ def sign_patterns(M: np.ndarray, fix_first: bool = False, block: int = DEFAULT_B
     along contiguous memory.
     """
     M = np.asarray(M, dtype=float)
-    k, d = M.shape
+    k, d = M.shape[-2:]
+    zero = np.zeros(M.shape[:-2] + (d, 1))
     first = 1 if fix_first and k else 0
     lo = min(first + block.bit_length() - 1, k)
     # copied: with no free low sign the start column is yielded as it is
-    low = _signed_sums(M[:1].T.copy() if first else np.zeros((d, 1)), M[first:lo])
+    low = _signed_sums(np.swapaxes(M[..., :1, :], -1, -2).copy() if first else zero, M[..., first:lo, :])
     if lo == k:
-        yield low.T  # a single block: the low table is the whole enumeration
+        yield np.swapaxes(low, -1, -2)  # a single block: the low table is the whole enumeration
         return
-    for h in _signed_sums(np.zeros((d, 1)), M[lo:]).T:
-        yield (low + h[:, None]).T
+    high = _signed_sums(zero, M[..., lo:, :])
+    for c in range(high.shape[-1]):
+        yield np.swapaxes(low + high[..., c, None], -1, -2)
 
 
 def power_iterate(M: np.ndarray, ball_q, p, X: np.ndarray, iters: int) -> tuple[np.ndarray, np.ndarray]:
@@ -136,6 +148,14 @@ def power_iterate(M: np.ndarray, ball_q, p, X: np.ndarray, iters: int) -> tuple[
     return X, f
 
 
+def l1_ball_values(M: np.ndarray, p) -> np.ndarray:
+    """||M e_i||_p at the vertices e_i of the l_1 ball: the l_p norms of the columns.
+
+    M is a matrix or a stack of matrices (the last two axes).
+    """
+    return lq_norm(M, p, axis=-2)
+
+
 def ball_max(
     M: np.ndarray, ball_q, p, starts, iters: int = 200, sign_cutoff: int = SIGN_CUTOFF
 ) -> tuple[float, np.ndarray, str]:
@@ -152,7 +172,7 @@ def ball_max(
     """
     d = M.shape[1]
     if ball_q == 1:
-        vals = lq_norm(M, p, axis=0)
+        vals = l1_ball_values(M, p)
         i = int(np.argmax(vals))
         x = np.zeros(d)
         x[i] = 1.0

@@ -7,7 +7,10 @@ output class Y is the best constant C with
 
 over all finite sequences. The estimator sweeps sequence lengths k,
 maximizing the certified ratio (output lower / product of input uppers);
-the k = 1 slice recovers the operator norm. Stability and growth
+the k = 1 slice recovers the operator norm. At each longer k a hill climb
+advances all its starts as one population: each step scores every
+candidate tuple with one block ratio, one `evaluate_batch` call and one
+`seq_norm_block` call per class. Stability and growth
 experiments probe which classes transport through multilinear maps with
 constant equal to the operator norm, and at what rate the others fail.
 """
@@ -29,6 +32,7 @@ from .seqnorm import (
     SeqClassSpec,
     VecSeq,
     seq_norm,
+    seq_norm_block,
 )
 from .spaces import INF, Space, as_exponent, conjugate_exponent
 
@@ -108,18 +112,14 @@ class IdealNormEstimate:
     op_estimate: OpNormEstimate
 
 
-def _output_seq(A: MultiOp, seqs: Sequence[VecSeq]) -> VecSeq:
-    mats = [s.mat for s in seqs]
-    return VecSeq(A.codomain, evaluate_batch(A, mats))
-
-
 def ideal_ratio(
     A: MultiOp, spec: IdealSpec, seqs: Sequence[VecSeq], seed: int = 0
 ) -> float:
     """Certified ratio output-lower / product of input-uppers for one tuple.
 
     A valid lower bound on any constant C for which the summing
-    inequality holds.
+    inequality holds. The B = 1 case of the block ratio the hill climb
+    scores its populations with; an input sequence of norm zero is an error.
     """
     if spec.arity != A.arity:
         raise ValueError(f"spec arity {spec.arity} does not match operator arity {A.arity}")
@@ -133,19 +133,29 @@ def ideal_ratio(
             raise ValueError("sequences must share a common length")
         if s.space.dim != sp.dim:
             raise ValueError("sequence space does not match operator domain")
-    return _ratio(A, spec, seqs, seed)
-
-
-def _ratio(A: MultiOp, spec: IdealSpec, seqs: Sequence[VecSeq], seed: int) -> float:
-    """`ideal_ratio` without the shape checks, for callers whose shapes are fixed."""
-    denom = 1.0
-    for s, cls in zip(seqs, spec.inputs):
-        b = seq_norm(s, cls, seed=seed)
-        if b.upper == 0.0:
+        if not s.mat.any():  # every class norm vanishes exactly on the zero sequence
             raise ValueError("input sequence of norm zero is excluded from ratios")
-        denom *= b.upper
-    out = seq_norm(_output_seq(A, seqs), spec.output, seed=seed)
-    return out.lower / denom
+    return float(_ratio(A, spec, [s.mat[None] for s in seqs], seed)[0])
+
+
+def _ratio(A: MultiOp, spec: IdealSpec, mats: Sequence[np.ndarray], seed: int) -> np.ndarray:
+    """Certified ratios of B tuples at once; mats[m] is a (B, k, d_m) stack, shapes unchecked.
+
+    One `evaluate_batch` call on all B k argument rows and one
+    `seq_norm_block` call per class. The ratio is 0 wherever an input
+    norm is 0.
+    """
+    B, k = mats[0].shape[:2]
+    denom = np.ones(B)
+    for M, space, cls in zip(mats, A.domain, spec.inputs):
+        denom *= seq_norm_block(space, M, cls, seed)[1]
+    out = evaluate_batch(A, [M.reshape(B * k, -1) for M in mats]).reshape(B, k, -1)
+    lower = seq_norm_block(A.codomain, out, spec.output, seed)[0]
+    return np.divide(lower, denom, out=np.zeros(B), where=denom > 0.0)
+
+
+#: Hill-climb steps per start at each sequence length.
+_CLIMB_STEPS = 40
 
 
 def ideal_norm(
@@ -158,10 +168,15 @@ def ideal_norm(
     """Maximize the certified ratio over sequences of length 1..k_max.
 
     k = 1 is solved by the operator-norm search (its witness is the best
-    singleton tuple); longer lengths refine random draws by hill climbing,
-    warm-started from the zero-padded best witness of the previous length.
-    The ratio-by-k curve is reported as a running maximum, which the
-    pad-with-zeros argument justifies.
+    singleton tuple). Each longer length k runs a random-search hill
+    climb from 3 + `restarts` starts: the zero-padded best witness of the
+    previous length, the coordinate sequences, the signed operator
+    witness and `restarts` random draws. The starts advance as one
+    population: every step moves each start along its own random
+    direction, scaled by its own step size, and one block ratio
+    (`_ratio`) scores all the candidates; a start keeps its candidate only
+    if the ratio rises. The ratio-by-k curve is reported as a running
+    maximum, which the pad-with-zeros argument justifies.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
@@ -175,70 +190,47 @@ def ideal_norm(
     witness1 = tuple(
         VecSeq(s, w.coords[None, :]) for s, w in zip(A.domain, op_est.witness)
     )
-    try:
-        best_ratio = ideal_ratio(A, spec, witness1, seed=seed)
-    except ValueError:
-        best_ratio = 0.0
+    best_ratio = float(_ratio(A, spec, [w.mat[None] for w in witness1], seed)[0])
     best_k, best_witness = 1, witness1
     curve = [(1, best_ratio)]
     prev_witness = witness1
 
     dims = [s.dim for s in A.domain]
 
-    def ratio_of(flat: np.ndarray, k: int) -> float:
-        mats, off = [], 0
-        for d in dims:
-            mats.append(flat[off : off + k * d].reshape(k, d))
-            off += k * d
-        # the shapes are fixed for each k, so skip the public checks
-        try:
-            return _ratio(A, spec, [VecSeq(s, m) for s, m in zip(A.domain, mats)], seed)
-        except ValueError:
-            return 0.0
-
     for k in range(2, k_max + 1):
-        starts = []
         padded = [
             np.vstack([w.mat, 0.01 * rng.standard_normal((1, d))])
             for w, d in zip(prev_witness, dims)
         ]
-        starts.append(np.concatenate([m.ravel() for m in padded]))
         # canonical structured candidates: coordinate sequences (cycled
         # past the dimension) and the operator witness repeated with signs
         basis = [np.eye(d)[np.arange(k) % d] for d in dims]
-        starts.append(np.concatenate([m.ravel() for m in basis]))
         signs = rng.choice([-1.0, 1.0], size=k)
         repw = [signs[:, None] * np.tile(w.coords, (k, 1)) for w in op_est.witness]
-        starts.append(np.concatenate([m.ravel() for m in repw]))
+        starts = [np.concatenate([m.ravel() for m in ms]) for ms in (padded, basis, repw)]
         for _ in range(restarts):
-            starts.append(
-                np.concatenate([rng.standard_normal(k * d) for d in dims])
-            )
-        k_best, k_wit = 0.0, None
-        for z0 in starts:
-            f0 = ratio_of(z0, k)
-            z, fz = z0, f0
-            step = 0.4
-            for _ in range(40):
-                cand = z + step * np.linalg.norm(z) * _unit(rng.standard_normal(z.size))
-                fc = ratio_of(cand, k)
-                if fc > fz:
-                    z, fz = cand, fc
-                    step = min(step * 1.3, 1.0)
-                else:
-                    step *= 0.8
-                    if step < 1e-6:
-                        break
-            if fz > k_best:
-                k_best, k_wit = fz, z
+            starts.append(np.concatenate([rng.standard_normal(k * d) for d in dims]))
+        Z = np.vstack(starts)
+        # unit step directions, drawn start by start as a sequential climb would draw them
+        U = rng.standard_normal((len(Z), _CLIMB_STEPS, Z.shape[1]))
+        n = _row_norms(U)
+        U = U / np.where(n > 0.0, n, 1.0)[..., None]
+        f = _ratio(A, spec, _slots(Z, k, dims), seed)
+        step = np.full(len(Z), 0.4)
+        for t in range(_CLIMB_STEPS):
+            cand = Z + (step * _row_norms(Z))[:, None] * U[:, t]
+            fc = _ratio(A, spec, _slots(cand, k, dims), seed)
+            up = fc > f
+            Z = np.where(up[:, None], cand, Z)
+            f = np.where(up, fc, f)
+            step = np.where(up, np.minimum(step * 1.3, 1.0), step * 0.8)
+        # the first best start, as a sequential climb over the starts would keep it
+        f = np.where(f > 0.0, f, 0.0)
+        i = int(np.argmax(f))
         # a longer witness must win by more than roundoff, so ties keep the shorter k
-        if k_wit is not None and k_best > best_ratio * (1.0 + 1e-12):
-            best_ratio, best_k = k_best, k
-            mats, off = [], 0
-            for d in dims:
-                mats.append(k_wit[off : off + k * d].reshape(k, d))
-                off += k * d
-            best_witness = tuple(VecSeq(s, m) for s, m in zip(A.domain, mats))
+        if f[i] > best_ratio * (1.0 + 1e-12):
+            best_ratio, best_k = float(f[i]), k
+            best_witness = tuple(VecSeq(s, m[i]) for s, m in zip(A.domain, _slots(Z, k, dims)))
         prev_witness = best_witness if best_k == k else tuple(
             VecSeq(s, np.vstack([w.mat, np.zeros((k - len(w), s.dim))]))
             for s, w in zip(A.domain, prev_witness)
@@ -251,9 +243,15 @@ def ideal_norm(
     return IdealNormEstimate(bracket, best_k, best_witness, tuple(curve), op_est)
 
 
-def _unit(v: np.ndarray) -> np.ndarray:
-    n = np.linalg.norm(v)
-    return v / n if n > 0 else v
+def _slots(Z: np.ndarray, k: int, dims: Sequence[int]) -> list[np.ndarray]:
+    """The (B, k, d_m) argument stacks of a (B, k sum_m d_m) block of flattened tuples."""
+    ends = np.cumsum([k * d for d in dims])
+    return [Z[:, e - k * d : e].reshape(len(Z), k, d) for e, d in zip(ends, dims)]
+
+
+def _row_norms(Z: np.ndarray) -> np.ndarray:
+    """Euclidean norms along the last axis, each one sqrt(z . z) as `np.linalg.norm(z)` takes it."""
+    return np.sqrt((Z[..., None, :] @ Z[..., :, None])[..., 0, 0])
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ an explicit witness tuple, the upper end combines a rigorous coefficient
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -77,10 +78,15 @@ def evaluate(A: MultiOp, args: Sequence[Vector]) -> Vector:
     for x, s in zip(args, A.domain):
         if x.space.dim != s.dim:
             raise ValueError(f"argument dimension {x.space.dim} does not match {s.dim}")
+    return Vector(A.codomain, _apply(A, [x.coords for x in args]))
+
+
+def _apply(A: MultiOp, xs: Sequence[np.ndarray]) -> np.ndarray:
+    """A(x_1, ..., x_n) on coordinate arrays: one vector-matrix product per slot, slot 0 first."""
     t = A.coeffs
-    for x in args:
-        t = np.tensordot(x.coords, t, axes=(0, 0))
-    return Vector(A.codomain, t)
+    for x in xs:
+        t = x @ t.reshape(len(x), -1)
+    return t
 
 
 def evaluate_batch(A: MultiOp, mats: Sequence[np.ndarray]) -> np.ndarray:
@@ -108,7 +114,10 @@ def _contract_all_but(A: MultiOp, xs: list[np.ndarray], m: int) -> np.ndarray:
     for l in range(A.arity - 1, -1, -1):
         if l == m:
             continue
-        t = np.tensordot(xs[l], t, axes=(0, l))
+        # one vector-matrix product over axis l, brought to the front
+        shape, d = t.shape, len(xs[l])
+        front = t.reshape(math.prod(shape[:l]), d, -1).transpose(1, 0, 2).reshape(d, -1)
+        t = (xs[l] @ front).reshape(shape[:l] + shape[l + 1 :])
     # after contracting every l != m the remaining axes are (d_m, d_out)
     return t.T
 
@@ -181,10 +190,7 @@ def op_norm(
 
 
 def _value(A: MultiOp, xs: list[np.ndarray]) -> float:
-    t = A.coeffs
-    for x in xs:
-        t = np.tensordot(x, t, axes=(0, 0))
-    return lq_norm(t, A.codomain.q)
+    return lq_norm(_apply(A, xs), A.codomain.q)
 
 
 def finite_type(phis: Sequence[Vector], b: Vector) -> MultiOp:

@@ -4,6 +4,9 @@ Five engines: sup, strong-p, weak-p, Rademacher, and Cohen (projective).
 Supremum-defined norms come back as a `NormBracket`: a certified interval
 whose lower end is witnessed by an explicit feasible point. Exact branches
 (closed forms, finite enumerations, SVD) collapse the bracket to a point.
+`seq_norm_block` brackets a (B, k, d) block of sequences at once: the
+exact branches that act row by row are written for a stack of matrices,
+and the one-sequence engines are their B = 1 case.
 """
 
 from __future__ import annotations
@@ -15,7 +18,16 @@ from typing import Sequence
 
 import numpy as np
 
-from ._optim import SIGN_CUTOFF, ball_max, power_iterate, sign_patterns, sphere_grid, unit_scaled
+from ._optim import (
+    DEFAULT_BLOCK,
+    SIGN_CUTOFF,
+    ball_max,
+    l1_ball_values,
+    power_iterate,
+    sign_patterns,
+    sphere_grid,
+    unit_scaled,
+)
 from .spaces import INF, Space, Vector, as_exponent, conjugate_exponent, dual_witness, lq_norm
 
 __all__ = [
@@ -33,6 +45,7 @@ __all__ = [
     "norm_cohen",
     "truncate",
     "seq_norm",
+    "seq_norm_block",
 ]
 
 #: Relative slack reported on heuristic (search-derived) upper ends.
@@ -211,8 +224,7 @@ def norm_sup(s: VecSeq) -> float:
     """
     if len(s) == 0:
         return 0.0
-    X, e = unit_scaled(s.mat)
-    return math.ldexp(float(lq_norm(X, s.space.q, axis=1).max()), e)
+    return float(_sup_value(s.mat, s.space.q))
 
 
 def norm_strong_p(s: VecSeq, p) -> float:
@@ -220,17 +232,29 @@ def norm_strong_p(s: VecSeq, p) -> float:
     p = float(_finite_exponent(p))
     if len(s) == 0:
         return 0.0
-    X, e = unit_scaled(s.mat)
-    return math.ldexp(lq_norm(lq_norm(X, s.space.q, axis=1), p), e)
+    return float(_strong_value(s.mat, s.space.q, p))
+
+
+# The value kernels below take a (k, d) matrix or a (B, k, d) stack of
+# nonempty sequences; `seq_norm_block` runs them on whole blocks.
+
+def _sup_value(X: np.ndarray, q):
+    X, e = unit_scaled(X)
+    return np.ldexp(lq_norm(X, q, axis=-1).max(-1), e)
+
+
+def _strong_value(X: np.ndarray, q, p: float):
+    X, e = unit_scaled(X)
+    return np.ldexp(lq_norm(lq_norm(X, q, axis=-1), p, axis=-1), e)
 
 
 # ---------------------------------------------------------------------------
 # weak-p
 # ---------------------------------------------------------------------------
 
-def _rows_disjoint(X: np.ndarray) -> bool:
-    support = X != 0.0
-    return bool((support.sum(axis=0) <= 1).all())
+def _rows_disjoint(X: np.ndarray):
+    """Whether the rows have pairwise disjoint supports, per item of a stack."""
+    return ((X != 0.0).sum(axis=-2) <= 1).all(axis=-1)
 
 
 def _weak_disjoint_value(X: np.ndarray, q, p: float) -> float:
@@ -242,19 +266,22 @@ def _weak_disjoint_value(X: np.ndarray, q, p: float) -> float:
     return lq_norm(lq_norm(X, q, axis=1), p / (1.0 - r) if r < 1.0 else INF)
 
 
-def _weak_sign_oracle(X: np.ndarray, q) -> float:
+def _weak_sign_oracle(X: np.ndarray, q):
     X, e = unit_scaled(X)
-    best = 0.0
+    best = np.zeros(X.shape[:-2])
     for sums in sign_patterns(X, fix_first=True):
-        best = max(best, float(lq_norm(sums, q, axis=1).max()))
-    return math.ldexp(best, e)
+        best = np.fmax(best, lq_norm(sums, q, axis=-1).max(-1))
+    return np.ldexp(best, e)
+
+
+def _weak_linf_value(X: np.ndarray, p: float):
+    # on l_inf the dual ball is l_1, whose extreme points +-e_i give column norms
+    X, e = unit_scaled(X)
+    return np.ldexp(l1_ball_values(X, p).max(-1), e)
 
 
 #: `ball_max` methods under the names the weak-p brackets report.
-_WEAK_METHODS = {
-    "l1-ball-vertices": "dual-l1-extreme-points",
-    "linf-ball-vertices": "dual-linf-vertices",
-}
+_WEAK_METHODS = {"linf-ball-vertices": "dual-linf-vertices"}
 
 
 def _weak_starts(X: np.ndarray, ball_q, p: float, restarts: int, seed: int) -> np.ndarray:
@@ -301,11 +328,12 @@ def norm_weak_p(
     q = s.space.q
     if k == 1:
         return NormBracket.exact_value(lq_norm(X[0], q), "singleton", seed)
-    if q != INF:  # l_inf spaces go straight to the dual l_1 extreme points
-        if _rows_disjoint(X):
-            return NormBracket.exact_value(_weak_disjoint_value(X, q, p), "disjoint-support", seed)
-        if p == 1.0 and k <= sign_cutoff:
-            return NormBracket.exact_value(_weak_sign_oracle(X, q), "sign-enumeration", seed)
+    if q == INF:
+        return NormBracket.exact_value(_weak_linf_value(X, p), "dual-l1-extreme-points", seed)
+    if _rows_disjoint(X):
+        return NormBracket.exact_value(_weak_disjoint_value(X, q, p), "disjoint-support", seed)
+    if p == 1.0 and k <= sign_cutoff:
+        return NormBracket.exact_value(_weak_sign_oracle(X, q), "sign-enumeration", seed)
 
     ball_q = conjugate_exponent(q)
     X, e = unit_scaled(X)
@@ -336,14 +364,18 @@ def norm_rad(s: VecSeq, sign_cutoff: int = SIGN_CUTOFF) -> float:
         )
     if k == 0 or not s.mat.any():
         return 0.0
-    X, e = unit_scaled(s.mat[s.mat.any(axis=1)])  # signs on zero vectors never matter
-    q = s.space.q
+    # signs on zero vectors never matter
+    return float(_rad_value(s.mat[s.mat.any(axis=1)], s.space.q))
+
+
+def _rad_value(X: np.ndarray, q):
+    X, e = unit_scaled(X)
     total, count = 0.0, 0
     for sums in sign_patterns(X, fix_first=True):
-        vals = lq_norm(sums, q, axis=1)
-        total += float((vals * vals).sum())
-        count += sums.shape[0]
-    return math.ldexp(math.sqrt(total / count), e)
+        vals = lq_norm(sums, q, axis=-1)
+        total = total + (vals * vals).sum(-1)
+        count += sums.shape[-2]
+    return np.ldexp(np.sqrt(total / count), e)
 
 
 def norm_rad_prefix_sup(s: VecSeq, sign_cutoff: int = SIGN_CUTOFF) -> float:
@@ -524,3 +556,42 @@ def seq_norm(
     if spec.tag == "cohen":
         return norm_cohen(s, spec.p, seed=seed)
     raise ValueError(f"unknown spec {spec!r}")
+
+
+def seq_norm_block(
+    space: Space, S: np.ndarray, spec: SeqClassSpec, seed: int = 0
+) -> tuple[np.ndarray, np.ndarray]:
+    """Brackets of a (B, k, d) block of sequences in one space: (lower, upper) arrays.
+
+    Entry i equals `seq_norm(VecSeq(space, S[i]), spec, seed)` bit for bit.
+    The exact branches that act row by row run on the whole block at once:
+    sup and strong-p on every item, and, on the items with k >= 2 and no
+    zero row, weak-p on l_inf spaces, weak-1 by sign enumeration (q < inf,
+    rows not disjoint) and Rad by enumeration, the two enumerations while
+    B 2^(k-1) <= `DEFAULT_BLOCK`. Every other item goes through `seq_norm`.
+    """
+    S = np.asarray(S, dtype=float)
+    B, k, d = S.shape
+    if d != space.dim:
+        raise ValueError(f"block shape {S.shape} does not match space dim {space.dim}")
+    q = float(space.q)
+    val = np.zeros(B)
+    fast = np.full(B, k >= 1 and spec.tag in ("sup", "strong"))
+    if fast.all():
+        val = _sup_value(S, q) if spec.tag == "sup" else _strong_value(S, q, float(spec.p))
+    elif k >= 2 and spec.tag in ("weak", "rad"):
+        full = S.any(axis=-1).all(axis=-1)  # the one-sequence engines drop zero rows
+        enumerable = B << (k - 1) <= DEFAULT_BLOCK
+        if spec.tag == "weak" and q == INF:
+            fast, kernel = full, lambda X: _weak_linf_value(X, float(spec.p))
+        elif spec.tag == "weak" and spec.p == 1 and enumerable:
+            fast, kernel = full & ~_rows_disjoint(S), lambda X: _weak_sign_oracle(X, q)
+        elif spec.tag == "rad" and enumerable:
+            fast, kernel = full, lambda X: _rad_value(X, q)
+        if fast.any():
+            val[fast] = kernel(S[fast])
+    lower, upper = val.copy(), val
+    for i in (~fast).nonzero()[0]:
+        b = seq_norm(VecSeq(space, S[i]), spec, seed=seed)
+        lower[i], upper[i] = b.lower, b.upper
+    return lower, upper

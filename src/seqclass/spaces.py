@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Union
 
 import numpy as np
@@ -62,11 +63,14 @@ def as_exponent(q) -> Exponent:
     return q
 
 
+@lru_cache(maxsize=256)
 def conjugate_exponent(q) -> Exponent:
     """Conjugate exponent q* with 1/q + 1/q* = 1.
 
     conjugate(1) = inf and conjugate(inf) = 1; otherwise q/(q-1) in exact
-    rational arithmetic, so conjugation is an exact involution.
+    rational arithmetic, so conjugation is an exact involution. Memoised on
+    the argument (equal exponents give equal results, and an invalid one
+    raises every time).
     """
     q = as_exponent(q)
     if q == 1:
@@ -134,8 +138,9 @@ def lq_norm(a, q, axis=None):
     """l_q norm of an array, or the l_q norms of its slices along `axis`.
 
     Returns a float for ``axis=None`` and an array of slice norms
-    otherwise; empty slices have norm 0. For 1 < q < inf the power sums
-    are taken unscaled, and a slice whose sum leaves [`_POW_MIN`,
+    otherwise; empty slices have norm 0. The whole-array norm equals the
+    norm of the array as one slice bit for bit. For 1 < q < inf the power
+    sums are taken unscaled, and a slice whose sum leaves [`_POW_MIN`,
     `_POW_MAX`] is recomputed with its own max scaled out. Where 1/q is
     inexact in floating point the unscaled root is off by up to
     2^-53 |ln sum| relative (under 1e-13); callers that need exact
@@ -149,9 +154,10 @@ def lq_norm(a, q, axis=None):
         n = a.sum(axis)
     else:
         s = np.add.reduce(a * a if qf == 2.0 else a ** qf, axis)
+        # np.power, not **: a numpy scalar's ** takes another pow than the array loop
         if axis is None and _POW_MIN <= s <= _POW_MAX:
-            return math.sqrt(s) if qf == 2.0 else float(s ** (1.0 / qf))
-        n = np.sqrt(s) if qf == 2.0 else s ** (1.0 / qf)
+            return math.sqrt(s) if qf == 2.0 else float(np.power(s, 1.0 / qf))
+        n = np.sqrt(s) if qf == 2.0 else np.power(s, 1.0 / qf)
         # argmin and argmax cost a fraction of a min or max reduction; NaN fails both tests
         if s.size and not (_POW_MIN <= s.flat[s.argmin()] and s.flat[s.argmax()] <= _POW_MAX):
             n = np.where((s >= _POW_MIN) & (s <= _POW_MAX), n, _max_scaled(a, qf, axis))

@@ -18,6 +18,7 @@ from seqclass.multiop import (
 )
 from seqclass.idealnorm import (
     IdealSpec,
+    _ratio,
     cohen_holder_stability,
     growth_experiment,
     ideal_norm,
@@ -265,3 +266,121 @@ def test_stable_family_specs():
     assert s.output.tag == "rad"
     with pytest.raises(ValueError):
         IdealSpec.stable_family(SeqClassSpec.sup(), 2)
+
+
+# --- the population climb ------------------------------------------------------
+
+def reference_ideal_norm(A, spec, k_max, restarts, seed):
+    """The hill climb start by start, one `ideal_ratio` call per candidate: (best_k, curve, witness)."""
+    dims = [s.dim for s in A.domain]
+
+    def ratio(z, k):
+        seqs = [VecSeq(s, m.reshape(k, s.dim)) for s, m in zip(A.domain, np.split(z, np.cumsum(dims)[:-1] * k))]
+        try:
+            return ideal_ratio(A, spec, seqs, seed=seed)
+        except ValueError:
+            return 0.0
+
+    rng = np.random.default_rng(seed)
+    op_w = [w.coords for w in op_norm(A, seed=seed).witness]
+    best, best_k, wit = ratio(np.concatenate(op_w), 1), 1, np.concatenate(op_w)
+    curve, prev = [(1, best)], [w[None] for w in op_w]
+    for k in range(2, k_max + 1):
+        padded = [np.vstack([m, 0.01 * rng.standard_normal((1, d))]) for m, d in zip(prev, dims)]
+        basis = [np.eye(d)[np.arange(k) % d] for d in dims]
+        signs = rng.choice([-1.0, 1.0], size=k)
+        repw = [signs[:, None] * np.tile(w, (k, 1)) for w in op_w]
+        starts = [np.concatenate([m.ravel() for m in ms]) for ms in (padded, basis, repw)]
+        starts += [np.concatenate([rng.standard_normal(k * d) for d in dims]) for _ in range(restarts)]
+        k_best, k_wit = 0.0, None
+        for z in starts:
+            fz, step = ratio(z, k), 0.4
+            for _ in range(40):
+                v = rng.standard_normal(z.size)
+                cand = z + step * np.linalg.norm(z) * (v / np.linalg.norm(v))
+                fc = ratio(cand, k)
+                if fc > fz:
+                    z, fz, step = cand, fc, min(step * 1.3, 1.0)
+                else:
+                    step *= 0.8
+            if fz > k_best:
+                k_best, k_wit = fz, z
+        if k_wit is not None and k_best > best * (1.0 + 1e-12):
+            best, best_k, wit = k_best, k, k_wit
+            prev = [m.reshape(k, d) for m, d in zip(np.split(wit, np.cumsum(dims)[:-1] * k), dims)]
+        else:
+            prev = [np.vstack([m, np.zeros((1, d))]) for m, d in zip(prev, dims)]
+        curve.append((k, best))
+    return best_k, curve, wit
+
+
+SUP, W1 = SeqClassSpec.sup(), SeqClassSpec.weak(1)
+
+# (name, spec, (q of slot 0, q of slot 1, q of the codomain)); sup inputs
+# make longer sequences win, so the witness comes out of the k-steps
+CLIMB_CASES = [
+    ("weak-1-uniform", IdealSpec.uniform(W1, 2), (2, 1, INF)),
+    ("weak-1", IdealSpec((SUP, SUP), W1), (2, 1, 2)),
+    ("weak-1-linf", IdealSpec((SUP, SUP), W1), (INF, 2, INF)),
+    ("strong-holder", IdealSpec((SeqClassSpec.strong(3),) * 2, SeqClassSpec.strong(1)), (2, 3, 1)),
+    ("weak-2", IdealSpec((SUP, SUP), SeqClassSpec.weak(2)), (2, 2, 3)),
+    ("rad", IdealSpec((SUP, SUP), SeqClassSpec.rad()), (2, 1, INF)),
+    ("cohen", IdealSpec((SUP, SUP), SeqClassSpec.cohen(2)), (2, 2, 2)),
+    ("weak-1-trilinear", IdealSpec((SUP,) * 3, W1), (2, 1, 2)),
+]
+
+
+@pytest.mark.parametrize("name, spec, qs", CLIMB_CASES, ids=[c[0] for c in CLIMB_CASES])
+def test_ideal_norm_matches_the_sequential_climb(name, spec, qs):
+    rng = np.random.default_rng(71)
+    n = spec.arity
+    dims = [int(d) for d in rng.integers(2, 4, size=n + 1)]
+    domain = tuple(Space(d, q) for d, q in zip(dims, (qs[0], qs[1], qs[0])[:n]))
+    A = MultiOp(domain, Space(dims[-1], qs[2]), rng.standard_normal(tuple(dims)))
+    est = ideal_norm(A, spec, 3, restarts=2, seed=5)
+    best_k, curve, wit = reference_ideal_norm(A, spec, 3, 2, 5)
+    assert est.best_k == best_k
+    assert list(est.ratio_by_k) == curve
+    assert np.array_equal(np.concatenate([w.mat.ravel() for w in est.witness]), wit)
+    if name != "weak-1-uniform":  # a stable class: k = 1 already attains the ratio
+        assert best_k == 3
+
+
+def test_block_ratio_matches_single_tuples():
+    rng = np.random.default_rng(72)
+    A = MultiOp((Space(3, 2), Space(2, INF)), Space(2, 1), rng.standard_normal((3, 2, 2)))
+    specs = [
+        IdealSpec.uniform(SeqClassSpec.weak(1), 2),
+        IdealSpec.uniform(SeqClassSpec.rad(), 2),
+        IdealSpec((SeqClassSpec.strong(3), SeqClassSpec.strong(3)), SeqClassSpec.strong(Fraction(3, 2))),
+        IdealSpec.uniform(SeqClassSpec.weak(2), 2),
+    ]
+    # k >= 2: a one-row product takes BLAS's matrix-vector path, whose sums may differ in the last bit
+    for spec in specs:
+        for k in (2, 3):
+            mats = [rng.standard_normal((6, k, s.dim)) for s in A.domain]
+            mats[1][2] = 0.0  # an input of norm zero scores 0
+            block = _ratio(A, spec, mats, 4)
+            assert block.shape == (6,) and block[2] == 0.0
+            for i in range(6):
+                assert _ratio(A, spec, [m[i : i + 1] for m in mats], 4)[0] == block[i]
+                if i != 2:
+                    seqs = [VecSeq(s, m[i]) for s, m in zip(A.domain, mats)]
+                    assert ideal_ratio(A, spec, seqs, seed=4) == block[i]
+
+
+def test_ideal_norm_homogeneous_at_extreme_scales():
+    rng = np.random.default_rng(73)
+    cases = [
+        (IdealSpec.uniform(SeqClassSpec.weak(1), 2), (2, INF, 1)),
+        (IdealSpec((SeqClassSpec.strong(2), SeqClassSpec.strong(3)), SeqClassSpec.strong(Fraction(6, 5))), (2, 1, 3)),
+    ]
+    for t in range(6):
+        spec, (q1, q2, q_out) = cases[t % 2]
+        dims = [int(d) for d in rng.integers(1, 5, size=3)]
+        A = MultiOp((Space(dims[0], q1), Space(dims[1], q2)), Space(dims[2], q_out), rng.standard_normal(dims))
+        ref = ideal_norm(A, spec, 3, restarts=2, seed=t)
+        for c in (2.0**600, 2.0**-600):
+            got = ideal_norm(MultiOp(A.domain, A.codomain, c * A.coeffs), spec, 3, restarts=2, seed=t)
+            assert got.best_k == ref.best_k
+            assert abs(got.bracket.lower - c * ref.bracket.lower) <= 1e-12 * c * ref.bracket.lower, (t, c)

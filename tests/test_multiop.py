@@ -11,6 +11,8 @@ from seqclass.spaces import INF, Space, Vector, lq_norm, norming_functional, vec
 from seqclass.seqnorm import VecSeq
 from seqclass.multiop import (
     MultiOp,
+    _contract_all_but,
+    _value,
     compose,
     decoupling_check,
     diag_operator,
@@ -347,6 +349,33 @@ def test_op_norm_homogeneous_at_extreme_scales():
         for c in (2.0**600, 2.0**-600):
             got = op_norm(MultiOp(A.domain, A.codomain, c * A.coeffs), seed=t).bracket.lower
             assert abs(got - c * ref) <= 1e-12 * c * ref, (t, c)
+
+
+def test_op_norm_contractions_match_tensordot():
+    # the vector-matrix chains keep the tensordot arithmetic bit for bit
+    def value_ref(A, xs):
+        t = A.coeffs
+        for x in xs:
+            t = np.tensordot(x, t, axes=(0, 0))
+        return t
+
+    def contract_ref(A, xs, m):
+        t = A.coeffs
+        for l in range(A.arity - 1, -1, -1):
+            if l != m:
+                t = np.tensordot(xs[l], t, axes=(0, l))
+        return t.T
+
+    rng = np.random.default_rng(29)
+    for t in range(300):
+        dims = [int(d) for d in rng.integers(1, 5, size=1 + t % 3)]
+        A = random_op(rng, dims, int(rng.integers(1, 5)))
+        xs = [rng.standard_normal(d) for d in dims]
+        want = value_ref(A, xs)
+        assert np.array_equal(evaluate(A, [Vector(s, x) for s, x in zip(A.domain, xs)]).coords, want)
+        assert _value(A, xs) == lq_norm(want, A.codomain.q)
+        for m in range(A.arity):
+            assert np.array_equal(_contract_all_but(A, xs, m), contract_ref(A, xs, m))
 
 
 def test_decoupling_budget_guard():

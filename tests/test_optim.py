@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from seqclass._optim import ball_max, power_iterate, sign_patterns
+from seqclass._optim import ball_max, power_iterate, sign_patterns, unit_scaled
 from seqclass.spaces import INF, lq_norm
 
 
@@ -46,6 +46,32 @@ def test_sums_match_pattern_products():
             for got, ref in zip(blocks, refs):
                 assert got.shape == ref.shape
                 assert np.abs(got - ref).max() <= 1e-14 * scale, (k, d)
+
+
+def test_sign_patterns_on_a_stack_match_each_matrix():
+    rng = np.random.default_rng(53)
+    for k, d, block in ((0, 3, 1 << 15), (1, 2, 1 << 15), (3, 4, 1 << 15), (7, 2, 4), (9, 3, 1 << 3)):
+        M = rng.standard_normal((5, k, d))
+        for fix_first in (False, True):
+            stacked = list(sign_patterns(M, fix_first, block))
+            for i in range(5):
+                alone = list(sign_patterns(M[i], fix_first, block))
+                assert len(stacked) == len(alone)
+                for s, a in zip(stacked, alone):
+                    assert s.shape == (5,) + a.shape
+                    assert np.array_equal(s[i], a)
+
+
+def test_unit_scaled_on_a_stack_matches_each_matrix():
+    rng = np.random.default_rng(54)
+    S = rng.standard_normal((6, 3, 2)) * np.exp2(rng.integers(-700, 700, size=(6, 1, 1)))
+    S[4] = 0.0
+    Y, e = unit_scaled(S)
+    for i in range(6):
+        y, ei = unit_scaled(S[i])
+        assert isinstance(ei, int) and e[i] == ei
+        assert np.array_equal(Y[i], y)
+        assert not S[i].any() or 0.5 <= np.abs(y).max() < 1.0
 
 
 def test_no_pattern_matrix_at_k20():

@@ -636,3 +636,77 @@ def test_linear_stability_of_each_class():
             rhs = seq_norm(s, spec, seed=9)
             ceiling = op_norm(u, seed=9).bracket.upper
             assert lhs.lower <= ceiling * rhs.upper + 1e-9
+
+
+# --- seq_norm_block ------------------------------------------------------------
+
+BLOCK_SPECS = [
+    SeqClassSpec.sup(),
+    SeqClassSpec.strong(1),
+    SeqClassSpec.strong(Fraction(4, 3)),
+    SeqClassSpec.strong(3),
+    SeqClassSpec.weak(1),
+    SeqClassSpec.weak(Fraction(3, 2)),
+    SeqClassSpec.weak(2),
+    SeqClassSpec.rad(),
+]
+
+
+def _block_cases(rng, k, d):
+    """A (B, k, d) block: random items at mixed scales, a zero row, a zero item, disjoint rows."""
+    S = rng.standard_normal((6, k, d)) * np.exp2(rng.integers(-8, 9, size=(6, 1, 1)))
+    S[1, k // 2] = 0.0
+    S[2] = 0.0
+    S[3] = np.eye(d)[np.arange(k) % d] * (1.0 + np.arange(k))[:, None] if k <= d else S[3]
+    return S
+
+
+def _assert_block_matches(space, S, spec, seed=3):
+    lower, upper = seqnorm.seq_norm_block(space, S, spec, seed=seed)
+    assert lower.shape == upper.shape == (len(S),)
+    for i, X in enumerate(S):
+        b = seq_norm(VecSeq(space, X), spec, seed=seed)
+        assert (lower[i], upper[i]) == (b.lower, b.upper), (spec, space, i, b.method)
+
+
+@pytest.mark.parametrize("spec", BLOCK_SPECS, ids=lambda s: s.describe())
+def test_seq_norm_block_matches_seq_norm_bit_for_bit(spec):
+    rng = np.random.default_rng(61)
+    for q in [1, Fraction(3, 2), 2, 3, INF]:
+        for k, d in ((1, 3), (2, 1), (2, 3), (3, 2), (4, 4)):
+            _assert_block_matches(Space(d, q), _block_cases(rng, k, d), spec)
+        _assert_block_matches(Space(2, q), np.zeros((3, 0, 2)), spec)
+
+
+def test_seq_norm_block_fallback_items_bit_for_bit():
+    rng = np.random.default_rng(62)
+    # the Cohen engine item by item (its exact and its heuristic branches)
+    for q, p in ((2, 2), (1, Fraction(3, 2)), (3, Fraction(3, 2))):
+        _assert_block_matches(Space(2, q), rng.standard_normal((2, 3, 2)), SeqClassSpec.cohen(p))
+    # Rad and weak-1 past the block's enumeration budget, and Rad past the sign cutoff
+    for spec in (SeqClassSpec.rad(), SeqClassSpec.weak(1)):
+        _assert_block_matches(Space(2, 3), rng.standard_normal((3, 15, 2)), spec)
+    _assert_block_matches(Space(2, 2), rng.standard_normal((2, 21, 2)), SeqClassSpec.rad())
+
+
+def test_seq_norm_block_runs_the_row_wise_branches_as_one_block(monkeypatch):
+    calls = []
+    original = seqnorm.seq_norm
+    monkeypatch.setattr(seqnorm, "seq_norm", lambda s, *a, **kw: calls.append(s) or original(s, *a, **kw))
+    rng = np.random.default_rng(63)
+    S = rng.standard_normal((6, 3, 2))
+    cases = [
+        (SeqClassSpec.sup(), 2), (SeqClassSpec.strong(3), 3), (SeqClassSpec.weak(1), 2),
+        (SeqClassSpec.weak(1), 1), (SeqClassSpec.weak(3), INF), (SeqClassSpec.rad(), 3),
+    ]
+    for spec, q in cases:
+        seqnorm.seq_norm_block(Space(2, q), S, spec)
+    assert calls == []
+    S[4, 1] = 0.0  # only the item with a zero row leaves the block
+    seqnorm.seq_norm_block(Space(2, 2), S, SeqClassSpec.weak(1))
+    assert len(calls) == 1 and np.array_equal(calls[0].mat, S[4])
+
+
+def test_seq_norm_block_rejects_a_dimension_mismatch():
+    with pytest.raises(ValueError):
+        seqnorm.seq_norm_block(Space(3, 2), np.ones((2, 2, 2)), SeqClassSpec.sup())

@@ -119,6 +119,29 @@ def test_conjugate_is_exact_involution():
         assert conjugate_exponent(conjugate_exponent(q)) == as_exponent(q)
 
 
+def test_conjugate_exponent_is_memoised_and_still_validates():
+    for q in Q_VALUES + [Fraction(7, 5), 1.5, "4/3", "inf"]:
+        first = conjugate_exponent(q)
+        assert conjugate_exponent(q) is first  # the second call is a cache hit
+        assert conjugate_exponent(first) == as_exponent(q)
+    for bad in (0.5, Fraction(1, 2), "abc", -1):
+        for _ in range(2):  # a failure is not cached
+            with pytest.raises(ValueError):
+                conjugate_exponent(bad)
+
+
+@pytest.mark.parametrize("q", [1, Fraction(4, 3), Fraction(3, 2), 2, 3, Fraction(7, 2), INF])
+def test_lq_norm_whole_array_equals_one_slice(q):
+    # the whole-array root goes through the same power loop as the slice roots
+    rng = np.random.default_rng(19)
+    for n in (1, 2, 3, 4, 6, 9):
+        A = rng.standard_normal((3000, n)) * np.exp2(rng.integers(-20, 21, size=(3000, 1)))
+        rows = lq_norm(A, q, axis=1)
+        for a, r in zip(A, rows):
+            assert lq_norm(a, q) == r
+            assert lq_norm(a[None], q, axis=1)[0] == r
+
+
 def test_dual_dual_is_identity():
     for q in Q_VALUES:
         s = Space(3, q)
