@@ -22,6 +22,8 @@ from .spaces import INF, dual_direction, dual_witness, lq_norm
 DEFAULT_BLOCK = 1 << 15
 
 #: Largest length (or l_inf dimension) for which 2^k sign enumeration is attempted.
+#: The one cutoff of every exact enumeration (weak-1, Rademacher, l_inf ball
+#: vertices, decoupling); each reads it from this module at call time.
 SIGN_CUTOFF = 20
 
 #: Points of each `sphere_grid`.
@@ -148,22 +150,12 @@ def power_iterate(M: np.ndarray, ball_q, p, X: np.ndarray, iters: int) -> tuple[
     return X, f
 
 
-def l1_ball_values(M: np.ndarray, p) -> np.ndarray:
-    """||M e_i||_p at the vertices e_i of the l_1 ball: the l_p norms of the columns.
-
-    M is a matrix or a stack of matrices (the last two axes).
-    """
-    return lq_norm(M, p, axis=-2)
-
-
-def ball_max(
-    M: np.ndarray, ball_q, p, starts, iters: int = 200, sign_cutoff: int = SIGN_CUTOFF
-) -> tuple[float, np.ndarray, str]:
+def ball_max(M: np.ndarray, ball_q, p, starts, iters: int = 200) -> tuple[float, np.ndarray, str]:
     """max ||M x||_p over the unit ball of l_{ball_q}: (value, maximizer, method).
 
     The objective is convex, so the maximum sits at an extreme point.
     Exact on the +-e_i of the l_1 ball, on the sign vertices of the l_inf
-    ball when d <= `sign_cutoff`, and by the top singular value at
+    ball when d <= `SIGN_CUTOFF`, and by the top singular value at
     ball_q = p = 2 (methods "l1-ball-vertices", "linf-ball-vertices",
     "svd-spectral"). Otherwise ("power-iteration") one `power_iterate`
     call on the (S, d) block of unit-ball points `starts()`, a callable
@@ -172,12 +164,12 @@ def ball_max(
     """
     d = M.shape[1]
     if ball_q == 1:
-        vals = l1_ball_values(M, p)
+        vals = lq_norm(M, p, axis=-2)  # ||M e_i||_p: the column norms
         i = int(np.argmax(vals))
         x = np.zeros(d)
         x[i] = 1.0
         return float(vals[i]), x, "l1-ball-vertices"
-    if ball_q == INF and d <= sign_cutoff:
+    if ball_q == INF and d <= SIGN_CUTOFF:
         best, idx = -1.0, 0
         for b, sums in enumerate(sign_patterns(M.T, fix_first=True)):
             vals = lq_norm(sums, p, axis=1)

@@ -143,7 +143,10 @@ def _ratio(A: MultiOp, spec: IdealSpec, mats: Sequence[np.ndarray], seed: int) -
 
     One `evaluate_batch` call on all B k argument rows and one
     `seq_norm_block` call per class. The ratio is 0 wherever an input
-    norm is 0.
+    norm is 0. A ratio may differ in the last bit from the B = 1 call on
+    the same tuple (see `evaluate_batch`): at k = 1 a (B, 1, d) stack
+    differed from its B = 1 calls on 42-61% of rows, at k = 2 and 3 on
+    none. The hill climb scores no k = 1 stack.
     """
     B, k = mats[0].shape[:2]
     denom = np.ones(B)
@@ -258,6 +261,10 @@ def _row_norms(Z: np.ndarray) -> np.ndarray:
 # stability
 # ---------------------------------------------------------------------------
 
+#: Most case records a `StabilityReport` keeps: those of its first trials.
+_KEPT_CASES = 64
+
+
 @dataclass(frozen=True)
 class StabilityReport:
     """Outcome of randomized transport tests for one class family."""
@@ -285,7 +292,6 @@ def _stability_trials(
     exponents,
     tolerance: float,
     family_label: str,
-    keep_cases: int = 64,
 ) -> StabilityReport:
     rng = np.random.default_rng(seed)
     violations, max_rel = 0, 0.0
@@ -314,7 +320,7 @@ def _stability_trials(
             if ratio > ceiling * (1.0 + tolerance):
                 violations += 1
         max_rel = max(max_rel, rel)
-        if len(cases) < keep_cases:
+        if len(cases) < _KEPT_CASES:
             cases.append(
                 {
                     "trial": t,
@@ -485,19 +491,17 @@ def limit_stability_experiment(
     return LimitStabilityReport(est.bracket.lower, sup_upper, passed, tuple(records))
 
 
-def scalar_compatibility_excess(
-    spec: IdealSpec, trials: int, seed: int = 0, k_max: int = 8
-) -> float:
+def scalar_compatibility_excess(spec: IdealSpec, trials: int, seed: int = 0) -> float:
     """Numeric check of the scalar product embedding behind finite-type bounds.
 
-    Samples scalar sequences and returns the worst relative excess of
-    Y-norm(prod_m lambda^m) over prod_m X_m-norm(lambda^m); a stable
-    family should keep this at roundoff level.
+    Samples scalar sequences of length 1..8 and returns the worst relative
+    excess of Y-norm(prod_m lambda^m) over prod_m X_m-norm(lambda^m); a
+    stable family should keep this at roundoff level.
     """
     rng = np.random.default_rng(seed)
     worst = 0.0
     for t in range(trials):
-        k = int(rng.integers(1, k_max + 1))
+        k = int(rng.integers(1, 9))
         lams = [rng.standard_normal(k) for _ in range(spec.arity)]
         prod = np.ones(k)
         for lam in lams:

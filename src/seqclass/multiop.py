@@ -14,7 +14,8 @@ from typing import Sequence
 
 import numpy as np
 
-from ._optim import SIGN_CUTOFF, ball_max, sign_patterns
+from . import _optim
+from ._optim import ball_max, sign_patterns
 from .spaces import Space, Vector, as_exponent, conjugate_exponent, lq_norm
 from .seqnorm import ASCENT_SLACK, NormBracket, VecSeq
 
@@ -45,6 +46,8 @@ class MultiOp:
         if len(dom) < 1:
             raise ValueError("operator arity must be >= 1")
         c = np.array(self.coeffs, dtype=float)
+        if not np.isfinite(c).all():
+            raise ValueError("operator has non-finite coefficients (NaN or inf)")
         expected = tuple(s.dim for s in dom) + (self.codomain.dim,)
         if c.shape != expected:
             raise ValueError(f"coefficient shape {c.shape} does not match {expected}")
@@ -95,6 +98,10 @@ def evaluate_batch(A: MultiOp, mats: Sequence[np.ndarray]) -> np.ndarray:
     A fixed contraction chain with no per-call path search: one matmul
     folds slot 0 into the coefficient tensor, then each further slot is a
     batched contraction over the rows. Returns shape (B, d_out).
+
+    Row i of the result need not equal the B = 1 call on row i in the
+    last bit: BLAS takes its matrix-vector kernel for one row and its
+    matrix-matrix kernel for several, and the two may round differently.
     """
     if len(mats) != A.arity:
         raise ValueError(f"expected {A.arity} argument matrices, got {len(mats)}")
@@ -257,14 +264,13 @@ def diag_operator(n: int, k: int, q_in) -> MultiOp:
     return MultiOp((Space(k, q_in),) * n, Space(k, 1), t)
 
 
-def decoupling_check(
-    A: MultiOp, seqs: Sequence[VecSeq], sign_cutoff: int = SIGN_CUTOFF
-) -> float:
+def decoupling_check(A: MultiOp, seqs: Sequence[VecSeq]) -> float:
     """Residual of the sign-decoupling identity.
 
     Compares sum_j A(x_j^1,...,x_j^n) with the exact average over all
     (n-1)-tuples of sign vectors of A applied to the randomized sums, the
     last slot carrying the product of the signs. Zero up to roundoff.
+    Needs k (n-1) <= `_optim.SIGN_CUTOFF`.
     """
     n = A.arity
     if len(seqs) != n:
@@ -275,14 +281,14 @@ def decoupling_check(
             raise ValueError("sequences must share a common length")
         if s.space.dim != sp.dim:
             raise ValueError("sequence space does not match operator domain")
-    if k * (n - 1) > sign_cutoff:
+    if k * (n - 1) > _optim.SIGN_CUTOFF:
         raise ValueError(
-            f"enumeration budget exceeded: k*(n-1) = {k * (n - 1)} > {sign_cutoff}"
+            f"enumeration budget exceeded: k*(n-1) = {k * (n - 1)} > {_optim.SIGN_CUTOFF}"
         )
 
     direct = np.zeros(A.codomain.dim)
     for j in range(k):
-        direct += evaluate(A, [s.vector(j) for s in seqs]).coords
+        direct += _apply(A, [s.mat[j] for s in seqs])
 
     nfree = k * (n - 1)
     acc = np.zeros(A.codomain.dim)

@@ -12,27 +12,18 @@ and the one-sequence engines are their B = 1 case.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
 
 import numpy as np
 
-from ._optim import (
-    DEFAULT_BLOCK,
-    SIGN_CUTOFF,
-    ball_max,
-    l1_ball_values,
-    power_iterate,
-    sign_patterns,
-    sphere_grid,
-    unit_scaled,
-)
-from .spaces import INF, Space, Vector, as_exponent, conjugate_exponent, dual_witness, lq_norm
+from . import _optim
+from ._optim import DEFAULT_BLOCK, ball_max, power_iterate, sign_patterns, sphere_grid, unit_scaled
+from .spaces import INF, Space, as_exponent, conjugate_exponent, dual_witness, lq_norm
 
 __all__ = [
-    "SIGN_CUTOFF",
     "ASCENT_SLACK",
+    "RAD_MC_SAMPLES",
     "VecSeq",
     "SeqClassSpec",
     "NormBracket",
@@ -51,6 +42,9 @@ __all__ = [
 #: Relative slack reported on heuristic (search-derived) upper ends.
 ASCENT_SLACK = 1e-3
 
+#: Monte-Carlo samples `seq_norm` draws for a Rademacher norm past `_optim.SIGN_CUTOFF`.
+RAD_MC_SAMPLES = 10_000
+
 
 @dataclass(frozen=True, eq=False)
 class VecSeq:
@@ -61,6 +55,8 @@ class VecSeq:
 
     def __post_init__(self):
         m = np.array(self.mat, dtype=float)
+        if not np.isfinite(m).all():
+            raise ValueError("sequence has non-finite entries (NaN or inf)")
         if m.size == 0:
             m = m.reshape(0, self.space.dim)
         if m.ndim == 1 and self.space.dim == 1:
@@ -72,25 +68,8 @@ class VecSeq:
         m.flags.writeable = False
         object.__setattr__(self, "mat", m)
 
-    @classmethod
-    def from_vectors(cls, vectors: Sequence[Vector]) -> "VecSeq":
-        if not vectors:
-            raise ValueError("cannot infer the space from an empty vector list")
-        space = vectors[0].space
-        for v in vectors:
-            if v.space != space:
-                raise ValueError("all vectors must share one space")
-        return cls(space, np.stack([v.coords for v in vectors]))
-
     def __len__(self) -> int:
         return self.mat.shape[0]
-
-    @property
-    def vectors(self) -> tuple[Vector, ...]:
-        return tuple(Vector(self.space, row) for row in self.mat)
-
-    def vector(self, j: int) -> Vector:
-        return Vector(self.space, self.mat[j])
 
     def __repr__(self):
         return f"VecSeq({self.space!r}, k={len(self)})"
@@ -195,20 +174,11 @@ class NormBracket:
         return cls(value, value, True, method, seed)
 
     @property
-    def mid(self) -> float:
-        return 0.5 * (self.lower + self.upper)
-
-    @property
     def width(self) -> float:
         return self.upper - self.lower
 
     def contains(self, value: float, tol: float = 0.0) -> bool:
         return self.lower - tol <= value <= self.upper + tol
-
-    def scaled(self, c: float) -> "NormBracket":
-        if c < 0:
-            raise ValueError("bracket scaling factor must be nonnegative")
-        return replace(self, lower=self.lower * c, upper=self.upper * c)
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +247,7 @@ def _weak_sign_oracle(X: np.ndarray, q):
 def _weak_linf_value(X: np.ndarray, p: float):
     # on l_inf the dual ball is l_1, whose extreme points +-e_i give column norms
     X, e = unit_scaled(X)
-    return np.ldexp(l1_ball_values(X, p).max(-1), e)
+    return np.ldexp(lq_norm(X, p, axis=-2).max(-1), e)
 
 
 #: `ball_max` methods under the names the weak-p brackets report.
@@ -300,17 +270,12 @@ def _weak_starts(X: np.ndarray, ball_q, p: float, restarts: int, seed: int) -> n
     return np.vstack(blocks)
 
 
-def norm_weak_p(
-    s: VecSeq,
-    p,
-    seed: int = 0,
-    sign_cutoff: int = SIGN_CUTOFF,
-    restarts: int = 32,
-) -> NormBracket:
+def norm_weak_p(s: VecSeq, p, seed: int = 0, restarts: int = 32) -> NormBracket:
     """sup over the dual unit ball of (sum_j |phi(x_j)|^p)^(1/p).
 
     Exact branches: singleton, l_inf spaces (dual l_1 extreme points),
-    rows with disjoint supports, p = 1 via sign enumeration, l_1 spaces via
+    rows with disjoint supports, p = 1 via sign enumeration (k <=
+    `_optim.SIGN_CUTOFF`), l_1 spaces via
     dual l_inf vertices, and (p, q) = (2, 2) via the top singular value.
     Otherwise `ball_max` runs power iteration from the row witnesses, the
     best grid points (d <= 3) and `restarts` random points: the lower end
@@ -332,14 +297,12 @@ def norm_weak_p(
         return NormBracket.exact_value(_weak_linf_value(X, p), "dual-l1-extreme-points", seed)
     if _rows_disjoint(X):
         return NormBracket.exact_value(_weak_disjoint_value(X, q, p), "disjoint-support", seed)
-    if p == 1.0 and k <= sign_cutoff:
+    if p == 1.0 and k <= _optim.SIGN_CUTOFF:
         return NormBracket.exact_value(_weak_sign_oracle(X, q), "sign-enumeration", seed)
 
     ball_q = conjugate_exponent(q)
     X, e = unit_scaled(X)
-    val, _, method = ball_max(
-        X, ball_q, p, lambda: _weak_starts(X, ball_q, p, restarts, seed), sign_cutoff=sign_cutoff
-    )
+    val, _, method = ball_max(X, ball_q, p, lambda: _weak_starts(X, ball_q, p, restarts, seed))
     val = math.ldexp(val, e)
     if method != "power-iteration":
         return NormBracket.exact_value(val, _WEAK_METHODS.get(method, method), seed)
@@ -351,16 +314,16 @@ def norm_weak_p(
 # Rademacher
 # ---------------------------------------------------------------------------
 
-def norm_rad(s: VecSeq, sign_cutoff: int = SIGN_CUTOFF) -> float:
+def norm_rad(s: VecSeq) -> float:
     """Exact Rademacher average (2^-k sum over signs of ||sum_j e_j x_j||^2)^(1/2).
 
     The L_2 average of the random signed sum over [0,1] equals this finite
-    mean exactly, so no quadrature is involved.
+    mean exactly, so no quadrature is involved. k is at most `_optim.SIGN_CUTOFF`.
     """
     k = len(s)
-    if k > sign_cutoff:
+    if k > _optim.SIGN_CUTOFF:
         raise ValueError(
-            f"k={k} exceeds sign cutoff {sign_cutoff}; use norm_rad_mc for long sequences"
+            f"k={k} exceeds sign cutoff {_optim.SIGN_CUTOFF}; use norm_rad_mc for long sequences"
         )
     if k == 0 or not s.mat.any():
         return 0.0
@@ -378,11 +341,11 @@ def _rad_value(X: np.ndarray, q):
     return np.ldexp(np.sqrt(total / count), e)
 
 
-def norm_rad_prefix_sup(s: VecSeq, sign_cutoff: int = SIGN_CUTOFF) -> float:
+def norm_rad_prefix_sup(s: VecSeq) -> float:
     """max over prefixes of the Rademacher norm (coincides with the full norm)."""
-    if len(s) > sign_cutoff:
-        raise ValueError(f"k={len(s)} exceeds sign cutoff {sign_cutoff}")
-    return max((norm_rad(truncate(s, m), sign_cutoff) for m in range(len(s) + 1)), default=0.0)
+    if len(s) > _optim.SIGN_CUTOFF:
+        raise ValueError(f"k={len(s)} exceeds sign cutoff {_optim.SIGN_CUTOFF}")
+    return max((norm_rad(truncate(s, m)) for m in range(len(s) + 1)), default=0.0)
 
 
 def norm_rad_mc(s: VecSeq, samples: int, seed: int = 0) -> NormBracket:
@@ -531,28 +494,23 @@ def norm_cohen(s: VecSeq, p, seed: int = 0) -> NormBracket:
 # dispatcher
 # ---------------------------------------------------------------------------
 
-def seq_norm(
-    s: VecSeq,
-    spec: SeqClassSpec,
-    seed: int = 0,
-    sign_cutoff: int = SIGN_CUTOFF,
-    mc_samples: int = 10_000,
-) -> NormBracket:
+def seq_norm(s: VecSeq, spec: SeqClassSpec, seed: int = 0) -> NormBracket:
     """Uniform bracket-valued interface to the five engines.
 
     Exact engines come back as zero-width brackets; the Rademacher norm
-    falls back to Monte Carlo beyond the sign cutoff.
+    falls back to `RAD_MC_SAMPLES` Monte-Carlo samples beyond
+    `_optim.SIGN_CUTOFF`.
     """
     if spec.tag == "sup":
         return NormBracket.exact_value(norm_sup(s), "sup", seed)
     if spec.tag == "strong":
         return NormBracket.exact_value(norm_strong_p(s, spec.p), "strong-p", seed)
     if spec.tag == "weak":
-        return norm_weak_p(s, spec.p, seed=seed, sign_cutoff=sign_cutoff)
+        return norm_weak_p(s, spec.p, seed=seed)
     if spec.tag == "rad":
-        if len(s) <= sign_cutoff:
-            return NormBracket.exact_value(norm_rad(s, sign_cutoff), "rad-enumeration", seed)
-        return norm_rad_mc(s, mc_samples, seed)
+        if len(s) <= _optim.SIGN_CUTOFF:
+            return NormBracket.exact_value(norm_rad(s), "rad-enumeration", seed)
+        return norm_rad_mc(s, RAD_MC_SAMPLES, seed)
     if spec.tag == "cohen":
         return norm_cohen(s, spec.p, seed=seed)
     raise ValueError(f"unknown spec {spec!r}")

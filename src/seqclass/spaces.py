@@ -97,9 +97,6 @@ class Space:
         """The dual space l_{q*}^d. `S.dual.dual == S` exactly."""
         return Space(self.dim, conjugate_exponent(self.q))
 
-    def vector(self, coords) -> "Vector":
-        return Vector(self, coords)
-
     def basis_vector(self, i: int) -> "Vector":
         e = np.zeros(self.dim)
         e[i] = 1.0
@@ -119,6 +116,8 @@ class Vector:
 
     def __post_init__(self):
         c = np.array(self.coords, dtype=float)
+        if not np.isfinite(c).all():
+            raise ValueError("vector has non-finite entries (NaN or inf)")
         if c.shape != (self.space.dim,):
             raise ValueError(
                 f"coords shape {c.shape} does not match dim {self.space.dim}"

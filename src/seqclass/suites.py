@@ -61,6 +61,9 @@ SUITE_NAMES = (
 
 DEFAULT_TOLERANCES = {"exact": 1e-9, "slack": 1e-6}
 
+#: Config keys every suite accepts besides its own `_DEFAULTS` entry.
+_RUN_KEYS = ("suite", "seed", "tolerances", "output_path")
+
 _FULL_MENU = ["1", "4/3", "3/2", "2", "3", "inf"]
 
 _DEFAULTS: dict[str, dict] = {
@@ -186,30 +189,32 @@ def _case_note(c: dict) -> str:
     return ""
 
 
-def list_suites() -> tuple[str, ...]:
-    return SUITE_NAMES
-
-
 def run_suite(config: dict) -> SuiteReport:
-    """Execute one suite from a config dict (unknown keys rejected)."""
+    """Execute one suite from a config dict.
+
+    A key outside the suite's `_DEFAULTS` entry and `_RUN_KEYS`, or a
+    tolerance other than those of `DEFAULT_TOLERANCES`, is a `KeyError`:
+    the report's config block holds only values the suite reads.
+    """
     if "suite" not in config:
         raise KeyError("config must name a suite")
     name = config["suite"]
     if name not in SUITE_NAMES:
         raise KeyError(f"unknown suite {name!r}; see `suite list`")
     cfg = dict(_DEFAULTS[name])
-    tolerances = dict(DEFAULT_TOLERANCES)
-    tolerances.update(config.get("tolerances", {}))
-    for key, val in config.items():
-        if key in ("suite", "tolerances", "output_path"):
-            continue
-        if key == "seed":
-            cfg["seed"] = int(val)
-            continue
-        if key not in cfg and key not in ("trials", "k_max", "dims", "exponents"):
+    for key in config:
+        if key not in cfg and key not in _RUN_KEYS:
             raise KeyError(f"unknown config key {key!r} for suite {name}")
-        cfg[key] = val
-    cfg.setdefault("seed", 0)
+    given = config.get("tolerances", {})
+    if not isinstance(given, dict):
+        raise ValueError(f"tolerances must be an object, got {given!r}")
+    tolerances = dict(DEFAULT_TOLERANCES)
+    for key, val in given.items():
+        if key not in tolerances:
+            raise KeyError(f"unknown tolerance {key!r}; expected one of {sorted(tolerances)}")
+        tolerances[key] = val
+    cfg.update((key, val) for key, val in config.items() if key not in _RUN_KEYS)
+    cfg["seed"] = int(config.get("seed", 0))
     cfg["tolerances"] = tolerances
 
     builder = _BUILDERS[name]
@@ -227,11 +232,10 @@ def run_suite(config: dict) -> SuiteReport:
 
     wall = time.perf_counter() - t0
     violations = sum(1 for c in results if not c["passed"])
-    echo = {k: v for k, v in cfg.items()}
     return SuiteReport(
         suite=name,
         seed=int(cfg["seed"]),
-        config=echo,
+        config=cfg,
         version=__version__,
         cases=tuple(results),
         violations=violations,

@@ -11,6 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from seqclass import _optim
 from seqclass.spaces import INF, Space, as_exponent, lq_norm
 from seqclass.seqnorm import (
     SeqClassSpec,
@@ -258,7 +259,7 @@ def test_criterion_9_ideal_axioms_and_limits():
             time.perf_counter() - t0, 60)
 
 
-def test_criterion_10_oracle_equivalence():
+def test_criterion_10_oracle_equivalence(monkeypatch):
     t0 = time.perf_counter()
     rng = np.random.default_rng(1010)
     ok = True
@@ -270,9 +271,11 @@ def test_criterion_10_oracle_equivalence():
         q = [1, Fraction(3, 2), 2, 3, INF][rng.integers(5)]
         X = rng.standard_normal((k, d))
         exact = _weak_sign_oracle(X, as_exponent(q))
-        # sign_cutoff=0 skips the sign enumeration: ball_max's power
+        # SIGN_CUTOFF = 0 skips the sign enumeration: ball_max's power
         # iteration (the dual l_1 extreme points, exact, for q = inf)
-        val = norm_weak_p(VecSeq(Space(d, q), X), 1, seed=t, sign_cutoff=0).lower
+        with monkeypatch.context() as mp:
+            mp.setattr(_optim, "SIGN_CUTOFF", 0)
+            val = norm_weak_p(VecSeq(Space(d, q), X), 1, seed=t).lower
         ok = ok and abs(val - exact) <= 1e-6 * max(1.0, exact)
     hits = 0
     for t in range(1000):

@@ -13,6 +13,7 @@ from seqclass.cli import main
 from seqclass._jsonio import dumps, multiop_to_dict, parse_space
 from seqclass.multiop import diag_operator
 from seqclass.spaces import INF
+from seqclass.suites import _DEFAULTS, SUITE_NAMES
 
 
 def run_cli(args, capsys):
@@ -252,11 +253,20 @@ def test_suite_config_file_round_trip(tmp_path, capsys):
     assert doc["config"]["curves"][0]["k_list"] == [1, 4]
 
 
-def test_suite_config_unknown_key_exits_2(tmp_path, capsys):
+@pytest.mark.parametrize("suite", SUITE_NAMES)
+def test_suite_config_unknown_key_exits_2(suite, tmp_path, capsys):
+    # every key of another suite's defaults that this suite does not read,
+    # an unknown key, and an unknown tolerance name
+    foreign = sorted(set().union(*_DEFAULTS.values()) - set(_DEFAULTS[suite]))
+    assert foreign
+    bad = [({key: 1}, key) for key in foreign + ["bogus"]]
+    bad += [({"tolerances": {"exactt": 1}}, "exactt"), ({"tolerances": 5}, "tolerances")]
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({"suite": "growth", "bogus": 1}))
-    code, _, err = run_cli(["suite", "run", str(cfg_path)], capsys)
-    assert code == 2
+    for extra, key in bad:
+        cfg_path.write_text(json.dumps({"suite": suite, **extra}))
+        code, out, err = run_cli(["suite", "run", str(cfg_path)], capsys)
+        assert code == 2, (suite, key)
+        assert key in err and out == ""
 
 
 def test_case_records_recompute_verdict(tmp_path, capsys):

@@ -86,6 +86,14 @@ def test_eval_shape_mismatch():
         evaluate(A, [Vector(Space(2, 2), [1, 0]), Vector(Space(2, 2), [1, 0])])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_multiop_rejects_non_finite(bad):
+    coeffs = np.ones((2, 3, 2))
+    coeffs[1, 2, 0] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        MultiOp((Space(2, 2), Space(3, 1)), Space(2, INF), coeffs)
+
+
 def test_evaluate_batch_matches_pointwise():
     rng = np.random.default_rng(4)
     A = random_op(rng, [3, 2], 4)

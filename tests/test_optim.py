@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from seqclass import _optim
 from seqclass._optim import ball_max, power_iterate, sign_patterns, unit_scaled
 from seqclass.spaces import INF, lq_norm
 
@@ -181,12 +182,15 @@ def test_ball_max_exact_branches_match_brute_force(p):
 
 @pytest.mark.parametrize("p", [1, Fraction(3, 2), 2, 3, INF])
 @pytest.mark.parametrize("ball_q", [Fraction(4, 3), 2, 4, INF])
-def test_ball_max_power_branch_is_attained_and_below_exact(ball_q, p):
+def test_ball_max_power_branch_is_attained_and_below_exact(ball_q, p, monkeypatch):
     rng = np.random.default_rng(37)
     for M in ball_cases(rng):
         d = M.shape[1]
         starts = unit_rows(rng, 4, d, ball_q)
-        val, x, method = ball_max(M, ball_q, p, lambda: starts, sign_cutoff=0)
+        with monkeypatch.context() as mp:
+            mp.setattr(_optim, "SIGN_CUTOFF", 0)
+            val, x, method = ball_max(M, ball_q, p, lambda: starts)
+            empty = ball_max(M, ball_q, p, lambda: np.empty((0, d)))
         if ball_q == 2 and p == 2:
             assert method == "svd-spectral"
             continue
@@ -195,4 +199,4 @@ def test_ball_max_power_branch_is_attained_and_below_exact(ball_q, p):
         assert val >= lq_norm(starts @ M.T, p, axis=1).max()
         if ball_q == INF:
             assert val <= ball_max(M, INF, p, no_starts)[0] * (1.0 + 1e-12)
-        assert ball_max(M, ball_q, p, lambda: np.empty((0, d)), sign_cutoff=0)[:1] == (0.0,)
+        assert empty[:1] == (0.0,)

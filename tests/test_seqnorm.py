@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from seqclass import seqnorm
+from seqclass import _optim, seqnorm
 from seqclass._optim import ball_max
 from seqclass.spaces import INF, Space, Vector, lq_norm
 from seqclass.seqnorm import (
@@ -96,6 +96,12 @@ def test_strong_p_examples():
     assert norm_strong_p(rep, 1) == pytest.approx(3.0, rel=1e-12)
     with pytest.raises(ValueError):
         norm_strong_p(s, 0.5)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_vecseq_rejects_non_finite(bad):
+    with pytest.raises(ValueError, match="non-finite"):
+        VecSeq(Space(2, 2), [[1.0, 0.0], [bad, 2.0]])
 
 
 # --- weak-p ------------------------------------------------------------------
@@ -188,10 +194,11 @@ def test_weak_exact_branches_build_no_starts(monkeypatch):
         assert b.exact and b.method == method
 
 
-def test_weak_ascent_vs_sign_oracle():
-    # sign_cutoff=0 forces p = 1 instances past the sign enumeration and
+def test_weak_ascent_vs_sign_oracle(monkeypatch):
+    # SIGN_CUTOFF = 0 forces p = 1 instances past the sign enumeration and
     # onto the power-iteration branch of ball_max (for q = inf the dual
     # l_1 extreme points are exact and come first)
+    monkeypatch.setattr(_optim, "SIGN_CUTOFF", 0)
     rng = np.random.default_rng(17)
     for trial in range(200):
         k = int(rng.integers(2, 11))
@@ -199,7 +206,7 @@ def test_weak_ascent_vs_sign_oracle():
         q = Q_VALUES[rng.integers(len(Q_VALUES))]
         X = rng.standard_normal((k, d))
         exact = oracle_weak_signs(X, q)
-        b = norm_weak_p(VecSeq(Space(d, q), X), 1, seed=trial, sign_cutoff=0)
+        b = norm_weak_p(VecSeq(Space(d, q), X), 1, seed=trial)
         assert b.method == ("dual-l1-extreme-points" if q == INF else "power-iteration")
         assert b.lower == pytest.approx(exact, rel=1e-6, abs=1e-9)
 

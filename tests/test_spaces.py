@@ -155,6 +155,12 @@ def test_exponent_validation():
         Space(0, 2)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_vector_rejects_non_finite(bad):
+    with pytest.raises(ValueError, match="non-finite"):
+        Vector(Space(3, 2), [1.0, bad, 0.0])
+
+
 def test_pairing_examples():
     s = Space(2, 2)
     assert pairing(Vector(s.dual, [1, 0]), Vector(s, [3, 4])) == pytest.approx(3.0)
