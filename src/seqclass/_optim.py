@@ -4,9 +4,11 @@
 the problem under the weak-p norm, the one-slot step of the operator-norm
 search and the Cohen dual rescaling; it is exact on the ball's vertices
 and at p = q = 2, and otherwise makes one `power_iterate` call, the one
-dual-update loop, which advances every start as a row of one block. All
-routines are pure functions of their inputs, so a fixed seed reproduces
-results bit for bit (single-threaded).
+dual-update loop, which advances every start as a row of one block. Both
+also take a stack of matrices, item by item, so the operator-norm search
+solves one slot for all its starts in one call. All routines are pure
+functions of their inputs, so a fixed seed reproduces results bit for bit
+(single-threaded).
 """
 
 from __future__ import annotations
@@ -121,36 +123,39 @@ def power_iterate(M: np.ndarray, ball_q, p, X: np.ndarray, iters: int) -> tuple[
     Higham, Numer. Math. 62, 1992) from each row of the (S, d) block of
     starts `X` at once, one matmul per product for the whole block, as in
     the block 1-norm estimator (N. J. Higham & F. Tisseur, SIAM J. Matrix
-    Anal. Appl. 21, 2000). A row x moves to the ball point that best pairs
-    with the gradient of ||M .||_p at x, for at most `iters` steps and only
-    while f = ||M x||_p rises by more than 1e-15 relative (an absolute
-    threshold would stop every search on a matrix scaled by 2^-600); the
-    first step that fails freezes the row. Returns the last accepted rows
-    and their values (X, f), so no f falls below its start.
+    Anal. Appl. 21, 2000). A (..., m, d) stack of matrices takes a
+    (..., S, d) stack of blocks, block i searching M[i]. A row x moves to
+    the ball point that best pairs with the gradient of ||M .||_p at x,
+    for at most `iters` steps and only while f = ||M x||_p rises by more
+    than 1e-15 relative (an absolute threshold would stop every search on
+    a matrix scaled by 2^-600); the first step that fails freezes the row.
+    Returns the last accepted rows and their values (X, f), so no f falls
+    below its start.
     """
     pf, qf = float(p), float(ball_q)
     X = np.array(X, dtype=float)  # a copy: frozen rows are kept by writing into it
-    Y = X @ M.T  # the rows' images M x, each kept from the step that accepted it
-    f = lq_norm(Y, pf, axis=1)
+    MT = np.swapaxes(M, -1, -2)
+    Y = X @ MT  # the rows' images M x, each kept from the step that accepted it
+    f = lq_norm(Y, pf, axis=-1)
     live = np.isfinite(f)  # a row at f = inf or NaN cannot rise
     for _ in range(iters):
         cand = dual_witness(dual_direction(Y, pf) @ M, qf)
-        Yc = cand @ M.T
-        fc = lq_norm(Yc, pf, axis=1)
+        Yc = cand @ MT
+        fc = lq_norm(Yc, pf, axis=-1)
         live &= fc > f * (1.0 + 1e-15)
         n = np.count_nonzero(live)
         if not n:
             break
-        if n == len(live):  # every row rose: the candidates are the new block
+        if n == live.size:  # every row rose: the candidates are the new block
             X, Y, f = cand, Yc, fc
             continue
-        np.copyto(X, cand, where=live[:, None])
-        np.copyto(Y, Yc, where=live[:, None])
+        np.copyto(X, cand, where=live[..., None])
+        np.copyto(Y, Yc, where=live[..., None])
         np.copyto(f, fc, where=live)
     return X, f
 
 
-def ball_max(M: np.ndarray, ball_q, p, starts, iters: int = 200) -> tuple[float, np.ndarray, str]:
+def ball_max(M: np.ndarray, ball_q, p, starts, iters: int = 200) -> tuple[float | np.ndarray, np.ndarray, str]:
     """max ||M x||_p over the unit ball of l_{ball_q}: (value, maximizer, method).
 
     The objective is convex, so the maximum sits at an extreme point.
@@ -160,30 +165,30 @@ def ball_max(M: np.ndarray, ball_q, p, starts, iters: int = 200) -> tuple[float,
     "svd-spectral"). Otherwise ("power-iteration") one `power_iterate`
     call on the (S, d) block of unit-ball points `starts()`, a callable
     that only this branch calls, and the first best row: a lower end
-    attained by the returned maximizer (0 with no start).
+    attained by the returned maximizer (0 with no start). An (..., m, d)
+    stack of matrices, with (..., S, d) starts, gives (...) values and
+    (..., d) maximizers, item i that of M[i] alone: bit for bit on the
+    exact branches, up to BLAS summation order on the power branch.
     """
-    d = M.shape[1]
+    d = M.shape[-1]
     if ball_q == 1:
         vals = lq_norm(M, p, axis=-2)  # ||M e_i||_p: the column norms
-        i = int(np.argmax(vals))
-        x = np.zeros(d)
-        x[i] = 1.0
-        return float(vals[i]), x, "l1-ball-vertices"
+        return vals.max(-1)[()], (np.arange(d) == vals.argmax(-1)[..., None]) * 1.0, "l1-ball-vertices"
     if ball_q == INF and d <= SIGN_CUTOFF:
-        best, idx = -1.0, 0
-        for b, sums in enumerate(sign_patterns(M.T, fix_first=True)):
-            vals = lq_norm(sums, p, axis=1)
-            i = int(np.argmax(vals))
-            if vals[i] > best:
-                best, idx = float(vals[i]), b * len(sums) + i
-        # eps_0 = +1 is pinned; bit j of the pattern index sets eps_{j+1}
-        x = np.array([1.0] + [(idx >> j & 1) * 2.0 - 1.0 for j in range(d - 1)])
-        return best, x, "linf-ball-vertices"
+        best, idx = np.full(M.shape[:-2], -1.0), 0
+        for b, sums in enumerate(sign_patterns(np.swapaxes(M, -1, -2), fix_first=True)):
+            vals = lq_norm(sums, p, axis=-1)
+            top = vals.max(-1)
+            idx = np.where(top > best, b * sums.shape[-2] + vals.argmax(-1), idx)
+            best = np.maximum(best, top)
+        # eps_0 = +1 is pinned; bit j of the pattern index, bit j + 1 of 2 idx + 1, sets eps_{j+1}
+        x = ((2 * idx + 1)[..., None] >> np.arange(d) & 1) * 2.0 - 1.0
+        return best[()], x, "linf-ball-vertices"
     if ball_q == 2 and p == 2:
         _, sig, vt = np.linalg.svd(M, full_matrices=False)
-        return float(sig[0]), vt[0], "svd-spectral"
+        return sig[..., 0][()], vt[..., 0, :], "svd-spectral"
     X, f = power_iterate(M, ball_q, p, starts(), iters)
-    if not len(f):
-        return 0.0, np.zeros(d), "power-iteration"
-    i = int(np.argmax(f))  # the first best row
-    return float(f[i]), X[i], "power-iteration"
+    if not f.shape[-1]:
+        return np.zeros(M.shape[:-2])[()], np.zeros(M.shape[:-2] + (d,)), "power-iteration"
+    i = f.argmax(-1)[..., None, None]  # the first best row of each block
+    return f.max(-1)[()], np.take_along_axis(X, i, -2)[..., 0, :], "power-iteration"

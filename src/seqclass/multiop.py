@@ -8,7 +8,6 @@ an explicit witness tuple, the upper end combines a rigorous coefficient
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -115,18 +114,17 @@ def evaluate_batch(A: MultiOp, mats: Sequence[np.ndarray]) -> np.ndarray:
     return t
 
 
-def _contract_all_but(A: MultiOp, xs: list[np.ndarray], m: int) -> np.ndarray:
-    """Matrix of the linear map in slot m with the other slots fixed (d_out x d_m)."""
-    t = A.coeffs
-    for l in range(A.arity - 1, -1, -1):
-        if l == m:
-            continue
-        # one vector-matrix product over axis l, brought to the front
-        shape, d = t.shape, len(xs[l])
-        front = t.reshape(math.prod(shape[:l]), d, -1).transpose(1, 0, 2).reshape(d, -1)
-        t = (xs[l] @ front).reshape(shape[:l] + shape[l + 1 :])
-    # after contracting every l != m the remaining axes are (d_m, d_out)
-    return t.T
+def _contract_all_but(A: MultiOp, X: Sequence[np.ndarray], m: int) -> np.ndarray:
+    """(S, d_out, d_m) stack: the map in slot m with each other slot l fixed at a row of X[l].
+
+    One einsum without path search; the ones vector carries the row axis at arity 1.
+    """
+    n, row = A.arity, A.arity + 1
+    ops = [A.coeffs, list(range(n + 1)), np.ones(len(X[m])), [row]]
+    for l in range(n):
+        if l != m:
+            ops += [X[l], [row, l]]
+    return np.einsum(*ops, [row, n, m])
 
 
 def holder_coefficient_bound(A: MultiOp) -> float:
@@ -145,59 +143,46 @@ def op_norm(
 ) -> OpNormEstimate:
     """Alternating maximization of ||A(x_1,...,x_n)|| over unit arguments.
 
-    Each sweep maximizes over one slot at a time with `ball_max`: exactly
-    for l_1 slots, small l_inf slots and l_2 -> l_2 pairs, and otherwise
-    by 20 dual updates from the slot's current argument.
-    `starts` may supply extra initial argument tuples (coordinate arrays).
+    Each initial tuple, scaled to unit arguments, is a row of one block
+    per slot: the `starts` (tuples of coordinate arrays), the basis tuple
+    at the largest coefficient, then `restarts` random tuples. Each sweep
+    maximizes over one slot at a time with one `ball_max` call on the
+    stack of the live rows' slot matrices: exactly for l_1 slots, small
+    l_inf slots and l_2 -> l_2 pairs, else by 20 dual updates from the
+    row's argument. A row freezes at its first sweep that does not rise by
+    1e-12 relative; the first best row is the witness.
     """
-    n = A.arity
-    rng = np.random.default_rng(seed)
     q_out = A.codomain.q
-
-    inits: list[list[np.ndarray]] = [list(map(np.asarray, s)) for s in starts]
+    dims = [s.dim for s in A.domain]
     peak = np.unravel_index(int(np.argmax(np.abs(A.coeffs))), A.coeffs.shape)
-    basis = []
-    for m in range(n):
-        e = np.zeros(A.domain[m].dim)
-        e[peak[m]] = 1.0
-        basis.append(e)
-    inits.append(basis)
-    for _ in range(restarts):
-        cand = []
-        for m in range(n):
-            v = rng.standard_normal(A.domain[m].dim)
-            nv = lq_norm(v, A.domain[m].q)
-            cand.append(v / nv if nv > 0 else v)
-        inits.append(cand)
+    V = np.random.default_rng(seed).standard_normal((restarts, sum(dims)))
+    X = []
+    for m, Vm in enumerate(np.split(V, np.cumsum(dims)[:-1], axis=1)):
+        Xm = np.vstack([np.reshape([s[m] for s in starts], (-1, dims[m])), np.eye(dims[m])[peak[m]], Vm])
+        nv = lq_norm(Xm, A.domain[m].q, axis=1)
+        # a start left outside the unit ball could witness more than the norm
+        X.append(Xm / np.where(nv > 0, nv, 1.0)[:, None])
 
-    best_val, best_args = -1.0, inits[0]
-    for xs in inits:
-        xs = [x.copy() for x in xs]
-        f = _value(A, xs)
-        for _ in range(60):
-            for m in range(n):
-                M = _contract_all_but(A, xs, m)
-                if M.any():
-                    xs[m] = ball_max(M, A.domain[m].q, q_out, lambda: xs[m][None], 20)[1]
-            fn = _value(A, xs)
-            if fn <= f * (1.0 + 1e-12):
-                f = max(f, fn)
-                break
-            f = fn
-        if f > best_val:
-            best_val, best_args = f, xs
+    f = lq_norm(evaluate_batch(A, X), q_out, axis=1)
+    live = np.ones(len(f), dtype=bool)
+    for _ in range(60):
+        for m in range(A.arity):
+            M = _contract_all_but(A, X, m)
+            rows = live & M.any(axis=(1, 2))
+            if rows.any():
+                X[m][rows] = ball_max(M[rows], A.domain[m].q, q_out, lambda: X[m][rows, None], 20)[1]
+        fn = lq_norm(evaluate_batch(A, X), q_out, axis=1)
+        f, live = np.where(live, np.maximum(f, fn), f), live & (fn > f * (1.0 + 1e-12))
+        if not live.any():
+            break
 
-    witness = tuple(Vector(s, x) for s, x in zip(A.domain, best_args))
+    best = int(np.argmax(f))  # the first best row
+    witness = tuple(Vector(s, x[best]) for s, x in zip(A.domain, X))
     lower = lq_norm(evaluate(A, witness).coords, q_out)
-    rigorous = holder_coefficient_bound(A)
-    upper = min(lower * (1.0 + ASCENT_SLACK), rigorous)
+    upper = min(lower * (1.0 + ASCENT_SLACK), holder_coefficient_bound(A))
     exact = upper - lower <= 1e-9 * max(1.0, upper)
     bracket = NormBracket(lower, upper, exact, "alternating-maximization", seed)
     return OpNormEstimate(bracket, witness)
-
-
-def _value(A: MultiOp, xs: list[np.ndarray]) -> float:
-    return lq_norm(_apply(A, xs), A.codomain.q)
 
 
 def finite_type(phis: Sequence[Vector], b: Vector) -> MultiOp:

@@ -66,6 +66,9 @@ _RUN_KEYS = ("suite", "seed", "tolerances", "output_path")
 
 _FULL_MENU = ["1", "4/3", "3/2", "2", "3", "inf"]
 
+#: Cases a suite splits `trials` over; the other suites run all of them in every case.
+_TRIAL_PARTS = {"seqnorm-axioms": 3, "ideal-axioms": 2, "weak1-stability": "arities", "decoupling": "arities"}
+
 _DEFAULTS: dict[str, dict] = {
     "seqnorm-axioms": {"trials": 150, "k_max": 5, "dims": [1, 2, 3], "exponents": _FULL_MENU},
     "linear-stability": {"trials": 120, "k_max": 5, "dims": [1, 2, 3], "exponents": _FULL_MENU},
@@ -194,7 +197,8 @@ def run_suite(config: dict) -> SuiteReport:
 
     A key outside the suite's `_DEFAULTS` entry and `_RUN_KEYS`, or a
     tolerance other than those of `DEFAULT_TOLERANCES`, is a `KeyError`:
-    the report's config block holds only values the suite reads.
+    the report's config block holds only values the suite reads. An empty
+    list, or a count that leaves some case with no trial, is a `ValueError`.
     """
     if "suite" not in config:
         raise KeyError("config must name a suite")
@@ -214,6 +218,11 @@ def run_suite(config: dict) -> SuiteReport:
             raise KeyError(f"unknown tolerance {key!r}; expected one of {sorted(tolerances)}")
         tolerances[key] = val
     cfg.update((key, val) for key, val in config.items() if key not in _RUN_KEYS)
+    parts = _TRIAL_PARTS.get(name, 1)
+    least = {"trials": len(cfg[parts]) if parts == "arities" else parts, "families": 2}
+    for key, val in cfg.items():  # every int is a count, and an empty list leaves a case nothing to do
+        if isinstance(val, list) and not val or isinstance(val, int) and val < least.get(key, 1):
+            raise ValueError(f"config key {key!r} at {val!r} leaves some case with nothing to check")
     cfg["seed"] = int(config.get("seed", 0))
     cfg["tolerances"] = tolerances
 

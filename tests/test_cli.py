@@ -269,6 +269,34 @@ def test_suite_config_unknown_key_exits_2(suite, tmp_path, capsys):
         assert key in err and out == ""
 
 
+@pytest.mark.parametrize(
+    "suite, values, key",
+    [
+        ("decoupling", {"arities": []}, "arities"),
+        ("rad-stability", {"arities": [], "trials": 1}, "arities"),
+        ("growth", {"curves": []}, "curves"),
+        ("linear-stability", {"dims": [], "trials": 1}, "dims"),
+        ("weak1-stability", {"trials": 1, "attainment_ops": 1}, "trials"),
+        ("decoupling", {"trials": 1, "arities": [2, 3]}, "trials"),
+        ("seqnorm-axioms", {"trials": 0}, "trials"),
+        ("seqnorm-axioms", {"trials": 2, "k_max": 2}, "trials"),
+        ("ideal-axioms", {"trials": 1}, "trials"),
+        ("cohen-stability", {"trials": 0}, "trials"),
+        ("holder-identity", {"trials": 1, "k_max": 0}, "k_max"),
+        ("weak1-stability", {"trials": 2, "k_max": 2, "attainment_ops": 0}, "attainment_ops"),
+        ("limit-stability", {"families": 1, "k_max": 2}, "families"),
+        ("limit-stability", {"families": 2, "k_max": 2, "restarts": 0}, "restarts"),
+    ],
+)
+def test_suite_config_checking_nothing_exits_2(suite, values, key, tmp_path, capsys):
+    # each config would run a case with no trial in it, or crash while its cases are made
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"suite": suite, **values}))
+    code, out, err = run_cli(["suite", "run", str(cfg_path)], capsys)
+    assert code == 2 and out == ""
+    assert repr(key) in err
+
+
 def test_case_records_recompute_verdict(tmp_path, capsys):
     out_path = tmp_path / "rep.json"
     code, _, _ = run_cli(

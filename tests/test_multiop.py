@@ -7,12 +7,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from seqclass._optim import ball_max
 from seqclass.spaces import INF, Space, Vector, lq_norm, norming_functional, vector_norm
 from seqclass.seqnorm import VecSeq
 from seqclass.multiop import (
     MultiOp,
     _contract_all_but,
-    _value,
     compose,
     decoupling_check,
     diag_operator,
@@ -251,11 +251,13 @@ def test_op_norm_witness_reproduces_lower():
             qs=[Q_VALUES[rng.integers(len(Q_VALUES))] for _ in range(2)],
             q_out=Q_VALUES[rng.integers(len(Q_VALUES))],
         )
-        est = op_norm(A, seed=3)
-        val = vector_norm(evaluate(A, est.witness))
-        assert val == pytest.approx(est.bracket.lower, abs=1e-9)
-        for w, s in zip(est.witness, A.domain):
-            assert vector_norm(w) <= 1 + 1e-9
+        # extra starts off the unit sphere, as the stability re-verification passes them
+        starts = [[3.0 * rng.standard_normal(s.dim) for s in A.domain] for _ in range(2)]
+        for est in (op_norm(A, seed=3), op_norm(A, seed=3, starts=starts)):
+            val = vector_norm(evaluate(A, est.witness))
+            assert val == pytest.approx(est.bracket.lower, abs=1e-9)
+            for w, s in zip(est.witness, A.domain):
+                assert vector_norm(w) <= 1 + 1e-9
 
 
 def test_op_norm_linear_matches_svd():
@@ -359,31 +361,110 @@ def test_op_norm_homogeneous_at_extreme_scales():
             assert abs(got - c * ref) <= 1e-12 * c * ref, (t, c)
 
 
+def value_ref(A, xs):
+    """A(x_1, ..., x_n) by a tensordot chain, slot 0 first."""
+    t = A.coeffs
+    for x in xs:
+        t = np.tensordot(x, t, axes=(0, 0))
+    return t
+
+
+def contract_ref(coeffs, xs, m):
+    """The d_out x d_m matrix of slot m with the other slots fixed, by a tensordot chain."""
+    t = coeffs
+    for l in range(len(xs) - 1, -1, -1):
+        if l != m:
+            t = np.tensordot(xs[l], t, axes=(0, l))
+    return t.T
+
+
+def op_norm_per_start(A, seed=0, restarts=16, starts=()):
+    """Lower end of op_norm as a loop over its initial tuples, one start at a time.
+
+    The reference for the block walk: the same tuples in the same order, the
+    same sweeps, slot solves and freezing rule, with one-matrix `ball_max`
+    calls and tensordot contractions.
+    """
+    rng = np.random.default_rng(seed)
+    q_out = A.codomain.q
+    inits = [list(map(np.asarray, s)) for s in starts]
+    peak = np.unravel_index(int(np.argmax(np.abs(A.coeffs))), A.coeffs.shape)
+    inits.append([np.eye(s.dim)[i] for s, i in zip(A.domain, peak)])
+    for _ in range(restarts):
+        cand = []
+        for s in A.domain:
+            v = rng.standard_normal(s.dim)
+            nv = lq_norm(v, s.q)
+            cand.append(v / nv if nv > 0 else v)
+        inits.append(cand)
+    best_val, best_args = -1.0, inits[0]
+    for xs in inits:
+        xs = [x.copy() for x in xs]
+        f = lq_norm(value_ref(A, xs), q_out)
+        for _ in range(60):
+            for m in range(A.arity):
+                M = contract_ref(A.coeffs, xs, m)
+                if M.any():
+                    xs[m] = ball_max(M, A.domain[m].q, q_out, lambda: xs[m][None], 20)[1]
+            fn = lq_norm(value_ref(A, xs), q_out)
+            if fn <= f * (1.0 + 1e-12):
+                f = max(f, fn)
+                break
+            f = fn
+        if f > best_val:
+            best_val, best_args = f, xs
+    return lq_norm(value_ref(A, best_args), q_out)
+
+
+@pytest.mark.parametrize(
+    "menu",
+    [Q_VALUES + [Fraction(4, 3)], [1, 2, INF], [1, INF], [Fraction(3, 2), 3]],
+    ids=["default", "1-2-inf", "1-inf", "3/2-3"],
+)
+def test_op_norm_block_walk_matches_per_start_loop(menu):
+    # arities 1 to 3, d <= 4; every third operator also gets extra starts
+    def unit(x, q):
+        return x / lq_norm(x, q)
+
+    rng = np.random.default_rng(53)
+    for t in range(30):
+        n = int(rng.integers(1, 4))
+        dims = [int(d) for d in rng.integers(1, 5, size=n)]
+        qs = [menu[i] for i in rng.integers(len(menu), size=n + 1)]
+        A = random_op(rng, dims, int(rng.integers(1, 5)), qs=qs[:-1], q_out=qs[-1])
+        kw = {"seed": t}
+        if t % 3 == 0:
+            starts = [[unit(rng.standard_normal(s.dim), s.q) for s in A.domain] for _ in range(3)]
+            kw.update(restarts=4, starts=starts)
+        want = op_norm_per_start(A, **kw)
+        got = op_norm(A, **kw).bracket.lower
+        assert abs(got - want) <= 1e-12 * want, (t, got, want)
+
+
 def test_op_norm_contractions_match_tensordot():
-    # the vector-matrix chains keep the tensordot arithmetic bit for bit
-    def value_ref(A, xs):
-        t = A.coeffs
-        for x in xs:
-            t = np.tensordot(x, t, axes=(0, 0))
-        return t
-
-    def contract_ref(A, xs, m):
-        t = A.coeffs
-        for l in range(A.arity - 1, -1, -1):
-            if l != m:
-                t = np.tensordot(xs[l], t, axes=(0, l))
-        return t.T
-
+    # evaluate keeps the tensordot arithmetic bit for bit; the stacked slot
+    # contraction sums the same products in another order, so each row meets
+    # the reference within the forward error bound of both computations:
+    # 2 (terms + arity) eps times the sum of the absolute products
     rng = np.random.default_rng(29)
+    eps = np.finfo(float).eps
     for t in range(300):
         dims = [int(d) for d in rng.integers(1, 5, size=1 + t % 3)]
         A = random_op(rng, dims, int(rng.integers(1, 5)))
-        xs = [rng.standard_normal(d) for d in dims]
-        want = value_ref(A, xs)
-        assert np.array_equal(evaluate(A, [Vector(s, x) for s, x in zip(A.domain, xs)]).coords, want)
-        assert _value(A, xs) == lq_norm(want, A.codomain.q)
+        X = [rng.standard_normal((5, d)) for d in dims]
+        for s in range(5):
+            xs = [x[s] for x in X]
+            want = value_ref(A, xs)
+            assert np.array_equal(evaluate(A, [Vector(sp, x) for sp, x in zip(A.domain, xs)]).coords, want)
         for m in range(A.arity):
-            assert np.array_equal(_contract_all_but(A, xs, m), contract_ref(A, xs, m))
+            got = _contract_all_but(A, X, m)
+            assert got.shape == (5, A.codomain.dim, dims[m])
+            terms = math.prod(dims) // dims[m]
+            for s in range(5):
+                xs = [x[s] for x in X]
+                bound = contract_ref(np.abs(A.coeffs), [np.abs(x) for x in xs], m)
+                err = np.abs(got[s] - contract_ref(A.coeffs, xs, m))
+                assert (err <= 2 * (terms + A.arity) * eps * bound).all(), (t, m, s)
 
 
 def test_decoupling_budget_guard():

@@ -200,3 +200,54 @@ def test_ball_max_power_branch_is_attained_and_below_exact(ball_q, p, monkeypatc
         if ball_q == INF:
             assert val <= ball_max(M, INF, p, no_starts)[0] * (1.0 + 1e-12)
         assert empty[:1] == (0.0,)
+
+
+@pytest.mark.parametrize("p", [1, Fraction(3, 2), 2, 3, INF])
+@pytest.mark.parametrize("ball_q", [1, Fraction(4, 3), 2, 4, INF])
+def test_power_iterate_on_a_stack_matches_solo_runs(ball_q, p):
+    # block i of an (S, m, d) stack searches M[i] as if it ran alone, up to the
+    # order BLAS sums a product in; a zero item stops its row at once
+    rng = np.random.default_rng(43)
+    for trial in range(10):
+        S = int(rng.integers(1, 7))
+        k, d = (int(n) for n in rng.integers(1, 6, size=2))
+        Ms = rng.standard_normal((S, k, d))
+        Ms[0] *= trial % 2
+        X0 = unit_rows(rng, S, d, ball_q)[:, None]
+        X, f = power_iterate(Ms, ball_q, p, X0, 30)
+        assert X.shape == (S, 1, d) and f.shape == (S, 1)
+        for i in range(S):
+            x, fi = power_iterate(Ms[i], ball_q, p, X0[i], 30)
+            assert abs(f[i, 0] - fi[0]) <= 1e-13 * fi[0], (trial, i)
+        if trial % 2 == 0:
+            assert np.array_equal(X[0], X0[0]) and f[0, 0] == 0.0
+
+
+@pytest.mark.parametrize("p", [1, Fraction(3, 2), 2, 3, INF])
+@pytest.mark.parametrize("ball_q", [1, Fraction(4, 3), 2, 4, INF])
+def test_ball_max_on_a_stack_matches_each_matrix(ball_q, p, monkeypatch):
+    # bit for bit on the exact branches, within 1e-13 on the power branch;
+    # the power branch is also forced onto the l_inf ball
+    rng = np.random.default_rng(47)
+    for cutoff in (_optim.SIGN_CUTOFF, 0) if ball_q == INF else (_optim.SIGN_CUTOFF,):
+        monkeypatch.setattr(_optim, "SIGN_CUTOFF", cutoff)
+        for trial in range(12):
+            S = int(rng.integers(1, 7))
+            k, d = (int(n) for n in rng.integers(1, 7, size=2))
+            Ms = rng.standard_normal((S, k, d))
+            Ms[0] *= trial % 2
+            starts = unit_rows(rng, 3 * S, d, ball_q).reshape(S, 3, d)
+            vals, xs, method = ball_max(Ms, ball_q, p, lambda: starts, 20)
+            assert vals.shape == (S,) and xs.shape == (S, d)
+            for i in range(S):
+                val, x, solo = ball_max(Ms[i], ball_q, p, lambda: starts[i], 20)
+                assert solo == method
+                if method == "power-iteration":
+                    assert abs(vals[i] - val) <= 1e-13 * val, (trial, i)
+                    assert_attained(Ms[i], ball_q, p, vals[i], xs[i])
+                else:
+                    assert vals[i] == val and np.array_equal(xs[i], x), (trial, i)
+        empty = ball_max(Ms, ball_q, p, lambda: np.empty((S, 0, d)))
+        assert empty[0].shape == (S,) and empty[1].shape == (S, d)
+        if empty[2] == "power-iteration":
+            assert not empty[0].any() and not empty[1].any()
