@@ -1,4 +1,4 @@
-"""Internal search primitives: sign enumeration, sphere grids, dual updates, ball maxima.
+"""Internal search primitives: sign enumeration, dual updates, ball maxima.
 
 `ball_max` is the one routine for max ||M x||_p over an l_q unit ball,
 the problem under the weak-p norm, the one-slot step of the operator-norm
@@ -14,7 +14,6 @@ functions of their inputs, so a fixed seed reproduces results bit for bit
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from typing import Iterator
 
 import numpy as np
@@ -28,9 +27,6 @@ DEFAULT_BLOCK = 1 << 15
 #: vertices, decoupling); each reads it from this module at call time.
 SIGN_CUTOFF = 20
 
-#: Points of each `sphere_grid`.
-GRID_POINTS = 512
-
 
 def unit_scaled(X: np.ndarray):
     """X * 2^-e with max|X * 2^-e| in [1/2, 1): exact, and no sum of k rows overflows.
@@ -43,33 +39,6 @@ def unit_scaled(X: np.ndarray):
         return np.ldexp(X, -e), e
     e = np.frexp(np.abs(X).max(axis=(-2, -1)))[1]
     return np.ldexp(X, -e[:, None, None]), e
-
-
-@lru_cache(maxsize=64)
-def sphere_grid(d: int, qf: float) -> np.ndarray:
-    """Deterministic covering of the l_q unit sphere in dimension d <= 3.
-
-    Used to brace low-dimensional dual-ball searches: one matmul scores
-    every grid point at once.
-    """
-    n = GRID_POINTS
-    if d == 1:
-        pts = np.array([[1.0], [-1.0]])
-    elif d == 2:
-        ang = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
-        pts = np.stack([np.cos(ang), np.sin(ang)], axis=1)
-    elif d == 3:
-        # Fibonacci lattice on the Euclidean sphere, then renormalized
-        i = np.arange(n) + 0.5
-        z = 1.0 - 2.0 * i / n
-        r = np.sqrt(np.clip(1.0 - z * z, 0.0, None))
-        phi = math.pi * (1.0 + math.sqrt(5.0)) * i
-        pts = np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1)
-    else:
-        raise ValueError("sphere grid only tabulated for d <= 3")
-    pts = pts / lq_norm(pts, qf, axis=1)[:, None]
-    pts.flags.writeable = False
-    return pts
 
 
 def _signed_sums(S: np.ndarray, rows: np.ndarray) -> np.ndarray:

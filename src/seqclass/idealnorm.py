@@ -49,10 +49,6 @@ __all__ = [
     "scalar_compatibility_excess",
 ]
 
-#: Exact Rademacher enumeration cap inside ideal-norm sweeps.
-RAD_SWEEP_CUTOFF = 12
-
-
 @dataclass(frozen=True)
 class IdealSpec:
     """Input classes (one per operator slot) and the output class."""
@@ -69,10 +65,6 @@ class IdealSpec:
     @property
     def arity(self) -> int:
         return len(self.inputs)
-
-    @property
-    def uses_rad(self) -> bool:
-        return any(c.tag == "rad" for c in self.inputs) or self.output.tag == "rad"
 
     @property
     def finitely_determined(self) -> bool:
@@ -172,8 +164,8 @@ def ideal_norm(
 
     k = 1 is solved by the operator-norm search (its witness is the best
     singleton tuple). Each longer length k runs a random-search hill
-    climb from 3 + `restarts` starts: the zero-padded best witness of the
-    previous length, the coordinate sequences, the signed operator
+    climb from 3 + `restarts` starts: the best witness so far, zero-padded
+    to length k, the coordinate sequences, the signed operator
     witness and `restarts` random draws. The starts advance as one
     population: every step moves each start along its own random
     direction, scaled by its own step size, and one block ratio
@@ -185,8 +177,6 @@ def ideal_norm(
         raise ValueError("k_max must be >= 1")
     if spec.arity != A.arity:
         raise ValueError("spec arity does not match the operator")
-    if spec.uses_rad:
-        k_max = min(k_max, RAD_SWEEP_CUTOFF)
 
     rng = np.random.default_rng(seed)
     op_est = op_norm(A, seed=seed)
@@ -196,14 +186,13 @@ def ideal_norm(
     best_ratio = float(_ratio(A, spec, [w.mat[None] for w in witness1], seed)[0])
     best_k, best_witness = 1, witness1
     curve = [(1, best_ratio)]
-    prev_witness = witness1
 
     dims = [s.dim for s in A.domain]
 
     for k in range(2, k_max + 1):
         padded = [
-            np.vstack([w.mat, 0.01 * rng.standard_normal((1, d))])
-            for w, d in zip(prev_witness, dims)
+            np.vstack([w.mat, np.zeros((k - 1 - len(w), d)), 0.01 * rng.standard_normal((1, d))])
+            for w, d in zip(best_witness, dims)
         ]
         # canonical structured candidates: coordinate sequences (cycled
         # past the dimension) and the operator witness repeated with signs
@@ -234,10 +223,6 @@ def ideal_norm(
         if f[i] > best_ratio * (1.0 + 1e-12):
             best_ratio, best_k = float(f[i]), k
             best_witness = tuple(VecSeq(s, m[i]) for s, m in zip(A.domain, _slots(Z, k, dims)))
-        prev_witness = best_witness if best_k == k else tuple(
-            VecSeq(s, np.vstack([w.mat, np.zeros((k - len(w), s.dim))]))
-            for s, w in zip(A.domain, prev_witness)
-        )
         curve.append((k, best_ratio))
 
     bracket = NormBracket(
@@ -364,8 +349,6 @@ def stability_report(
     if spec_family.tag == "sup":
         raise ValueError("sup-norm stability is trivial; no suite on file")
     spec = IdealSpec.stable_family(spec_family, arity)
-    if spec.uses_rad:
-        k_max = min(k_max, 6)
     return _stability_trials(
         lambda rng: spec,
         arity,

@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import _optim
-from ._optim import DEFAULT_BLOCK, ball_max, power_iterate, sign_patterns, sphere_grid, unit_scaled
+from ._optim import DEFAULT_BLOCK, ball_max, power_iterate, sign_patterns, unit_scaled
 from .spaces import INF, Space, as_exponent, conjugate_exponent, dual_witness, lq_norm
 
 __all__ = [
@@ -254,20 +254,13 @@ def _weak_linf_value(X: np.ndarray, p: float):
 _WEAK_METHODS = {"linf-ball-vertices": "dual-linf-vertices"}
 
 
-def _weak_starts(X: np.ndarray, ball_q, p: float, restarts: int, seed: int) -> np.ndarray:
+def _weak_starts(X: np.ndarray, ball_q, restarts: int, seed: int) -> np.ndarray:
     """(S, d) block of unit-ball starts for the weak-p and Cohen cut searches.
 
-    Row witnesses, the best grid points (d <= 3), then `restarts` random points.
+    The row witnesses, then `restarts` seeded random points.
     """
-    d = X.shape[1]
-    blocks = [dual_witness(X, ball_q)]
-    if d <= 3:
-        # brace the restarts with the best points of a deterministic grid
-        grid = sphere_grid(d, float(ball_q))
-        blocks.append(grid[np.argsort(lq_norm(X @ grid.T, p, axis=0))[-3:]])
-    V = np.random.default_rng(seed).standard_normal((restarts, d))
-    blocks.append(V / lq_norm(V, ball_q, axis=1)[:, None])
-    return np.vstack(blocks)
+    V = np.random.default_rng(seed).standard_normal((restarts, X.shape[1]))
+    return np.vstack([dual_witness(X, ball_q), V / lq_norm(V, ball_q, axis=1)[:, None]])
 
 
 def norm_weak_p(s: VecSeq, p, seed: int = 0, restarts: int = 32) -> NormBracket:
@@ -277,12 +270,12 @@ def norm_weak_p(s: VecSeq, p, seed: int = 0, restarts: int = 32) -> NormBracket:
     rows with disjoint supports, p = 1 via sign enumeration (k <=
     `_optim.SIGN_CUTOFF`), l_1 spaces via
     dual l_inf vertices, and (p, q) = (2, 2) via the top singular value.
-    Otherwise `ball_max` runs power iteration from the row witnesses, the
-    best grid points (d <= 3) and `restarts` random points: the lower end
-    is attained by its maximizer, and the upper end carries `ASCENT_SLACK`
-    (capped by the strong-p norm). `ball_max` gets the rows scaled by an
-    exact power of two, so its branches, the search included, are exactly
-    homogeneous under scaling by powers of two.
+    Otherwise `ball_max` runs power iteration from the row witnesses and
+    `restarts` seeded random points: the lower end is attained by its
+    maximizer, and the upper end carries `ASCENT_SLACK` (capped by the
+    strong-p norm). `ball_max` gets the rows scaled by an exact power of
+    two, so its branches, the search included, are exactly homogeneous
+    under scaling by powers of two.
     """
     p = float(_finite_exponent(p))
     X = s.mat
@@ -302,7 +295,7 @@ def norm_weak_p(s: VecSeq, p, seed: int = 0, restarts: int = 32) -> NormBracket:
 
     ball_q = conjugate_exponent(q)
     X, e = unit_scaled(X)
-    val, _, method = ball_max(X, ball_q, p, lambda: _weak_starts(X, ball_q, p, restarts, seed))
+    val, _, method = ball_max(X, ball_q, p, lambda: _weak_starts(X, ball_q, restarts, seed))
     val = math.ldexp(val, e)
     if method != "power-iteration":
         return NormBracket.exact_value(val, _WEAK_METHODS.get(method, method), seed)
@@ -393,8 +386,9 @@ def _cohen_bracket(X: np.ndarray, q, p, seed: int) -> tuple[float, float]:
     The KKT multipliers give X = sum_i a_i b_i^T + R with
     a_i = lambda_i grad ||Phi b_i||_{p*}^2, priced at
     sum_i ||a_i||_p ||b_i||_q + sum_j ||R_j||_q: an upper end at any Phi.
-    One `power_iterate` call runs from the 4 most active atoms and the
-    weak-p* starts of Phi, and each row that ends above 1 + `_CUT_TOL`
+    One `power_iterate` call runs from the 8 atoms with the largest
+    multipliers and the weak-p* starts of Phi (its row witnesses and 8
+    seeded random points), and each row that ends above 1 + `_CUT_TOL`
     adds its end point as an atom; the rounds stop when none does. The
     lower end is <Phi, X> over the upper end of the weak-p* bracket of the
     best-scoring Phi.
@@ -434,7 +428,7 @@ def _cohen_bracket(X: np.ndarray, q, p, seed: int) -> tuple[float, float]:
         R = X - A.T @ B
         cost = (lq_norm(A, p, axis=1) * lq_norm(B, q, axis=1)).sum() + lq_norm(R, q, axis=1).sum()
         upper = min(upper, float(cost))
-        starts = np.vstack([B[np.argsort(res.multipliers)[-4:]], _weak_starts(Phi, q, ps, 8, seed)])
+        starts = np.vstack([B[np.argsort(res.multipliers)[-8:]], _weak_starts(Phi, q, 8, seed)])
         ends, fs = power_iterate(Phi, q, ps, starts, 10)
         top = float(fs.max())
         score = float(z @ x) / top if top > 0.0 else 0.0

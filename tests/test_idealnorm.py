@@ -114,12 +114,11 @@ def test_ideal_norm_curve_monotone():
     assert all(b >= a - 1e-12 for a, b in zip(ratios, ratios[1:]))
 
 
-def test_ideal_norm_rad_caps_k():
-    rng = np.random.default_rng(7)
-    A = MultiOp((Space(2, 2), Space(2, 2)), Space(2, 2), rng.standard_normal((2, 2, 2)))
-    spec = IdealSpec.uniform(SeqClassSpec.rad(), 2)
-    est = ideal_norm(A, spec, k_max=40, restarts=1, seed=0)
-    assert est.ratio_by_k[-1][0] <= 12
+def test_ideal_norm_rad_sweeps_every_length_up_to_k_max():
+    rng = np.random.default_rng(5)
+    A = MultiOp((Space(2, 2), Space(2, 3)), Space(2, 1), rng.standard_normal((2, 2, 2)))
+    est = ideal_norm(A, IdealSpec.uniform(SeqClassSpec.rad(), 2), k_max=13, restarts=0, seed=0)
+    assert [k for k, _ in est.ratio_by_k] == list(range(1, 14))
 
 
 def test_ideal_axiom_composition():
@@ -199,6 +198,12 @@ def test_stability_weak1_no_violations():
 def test_stability_rad_no_violations():
     rep = stability_report(SeqClassSpec.rad(), arity=2, trials=25, seed=1, k_max=6, dims=3)
     assert rep.passed
+
+
+def test_stability_rad_checks_every_length_up_to_k_max():
+    rep = stability_report(SeqClassSpec.rad(), arity=2, trials=20, seed=1, k_max=8, dims=2)
+    assert rep.passed
+    assert max(c["k"] for c in rep.cases) == 8
 
 
 def test_stability_strong_no_violations():

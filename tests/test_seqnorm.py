@@ -451,6 +451,25 @@ def test_cohen_width_corpus_tight():
     assert max(b.width / b.upper for b in brackets) <= 5e-3
 
 
+def test_cohen_width_guard_on_hard_stratum():
+    # 400 draws (d in {2, 3}, k in 2..6, q over 5 and p over 4 exponents),
+    # of which the 84 with k >= 4, q in {3/2, 2, 3} and p < 2 are bracketed:
+    # the stratum whose widths grow first when the cut search starts from
+    # too few of its atoms (seen at up to 2.2e-3, against 1.2e-3 here)
+    rng = np.random.default_rng(31)
+    qs, ps = [Fraction(4, 3), Fraction(3, 2), 2, 3, INF], [Fraction(4, 3), Fraction(3, 2), 2, 3]
+    widths = []
+    for i in range(400):
+        d, k = int(rng.integers(2, 4)), int(rng.integers(2, 7))
+        q, p = qs[rng.integers(5)], ps[rng.integers(4)]
+        X = rng.standard_normal((k, d))
+        if k >= 4 and q in (Fraction(3, 2), 2, 3) and p < 2:
+            b = norm_cohen(VecSeq(Space(d, q), X), p, seed=i)
+            widths.append(b.width / b.upper)
+    assert len(widths) == 84
+    assert max(widths) <= 1.25e-3
+
+
 def assert_cohen_bracket_holds(X, q, p, exact):
     lower, upper = _cohen_bracket(X, q, p, seed=11)
     assert lower <= exact * (1 + 1e-9) and exact <= upper * (1 + 1e-9), (q, p)
