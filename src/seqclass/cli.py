@@ -26,7 +26,6 @@ from ._jsonio import (
 )
 from .idealnorm import IdealSpec, ideal_norm
 from .seqnorm import SeqClassSpec, VecSeq, seq_norm
-from .spaces import as_exponent
 from .suites import SUITE_NAMES, run_suite
 
 USAGE_ERROR, VIOLATION, OK = 2, 1, 0
@@ -45,8 +44,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     norm = sub.add_parser("norm", help="compute one sequence-class norm")
-    norm.add_argument("--class", dest="cls", required=True,
-                      choices=["sup", "strong", "weak", "rad", "cohen"])
+    norm.add_argument("--class", dest="cls", required=True, choices=SeqClassSpec.TAGS)
     norm.add_argument("--p", help="exponent for strong/weak/cohen, e.g. 2 or 4/3")
     norm.add_argument("--space", required=True, help="space literal, e.g. l2:3 or linf:4")
     norm.add_argument("--seq", help="inline JSON rows, e.g. [[1,0],[0,1]]")
@@ -56,11 +54,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     ideal = sub.add_parser("ideal", help="summing-norm sweep for an operator")
     ideal.add_argument("--op-file", required=True, help="operator tensor JSON")
-    ideal.add_argument("--in-class", required=True,
-                       choices=["sup", "strong", "weak", "rad", "cohen"])
+    ideal.add_argument("--in-class", required=True, choices=SeqClassSpec.TAGS)
     ideal.add_argument("--in-p", help="input exponent")
-    ideal.add_argument("--out-class",
-                       choices=["sup", "strong", "weak", "rad", "cohen"],
+    ideal.add_argument("--out-class", choices=SeqClassSpec.TAGS,
                        help="output class (defaults to the input class)")
     ideal.add_argument("--out-p", help="output exponent")
     ideal.add_argument("--k-max", type=int, default=4)
@@ -83,16 +79,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _make_class_spec(cls: str, p) -> SeqClassSpec:
-    if cls in ("sup", "rad"):
-        if p is not None:
-            raise _CliError(f"class {cls} takes no exponent")
-        return SeqClassSpec(cls)
-    if p is None:
-        raise _CliError(f"class {cls} requires --p")
-    return SeqClassSpec(cls, as_exponent(p))
-
-
 def _load_sequence(args) -> VecSeq:
     if (args.seq is None) == (args.seq_file is None):
         raise _CliError("provide exactly one of --seq or --seq-file")
@@ -112,7 +98,7 @@ def _load_sequence(args) -> VecSeq:
 
 
 def _cmd_norm(args) -> int:
-    spec = _make_class_spec(args.cls, args.p)
+    spec = SeqClassSpec(args.cls, args.p)
     s = _load_sequence(args)
     b = seq_norm(s, spec, seed=args.seed)
     if args.json:
@@ -130,12 +116,12 @@ def _cmd_ideal(args) -> int:
         A = multiop_from_dict(doc)
     except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
         raise _CliError(f"cannot load operator: {exc}") from exc
-    in_spec = _make_class_spec(args.in_class, args.in_p)
+    in_spec = SeqClassSpec(args.in_class, args.in_p)
     out_cls = args.out_class or args.in_class
     out_p = args.out_p if args.out_p is not None else (
-        None if out_cls in ("sup", "rad") else args.in_p
+        args.in_p if out_cls in SeqClassSpec.PARAMETRIC else None
     )
-    out_spec = _make_class_spec(out_cls, out_p)
+    out_spec = SeqClassSpec(out_cls, out_p)
     spec = IdealSpec((in_spec,) * A.arity, out_spec)
     est = ideal_norm(A, spec, k_max=args.k_max, restarts=args.restarts, seed=args.seed)
 

@@ -288,10 +288,7 @@ def _stability_trials(
         A = random_multiop(rng, domain, codomain)
         k = int(rng.integers(1, k_max + 1))
         seqs = [random_vecseq(rng, s, k) for s in domain]
-        try:
-            ratio = ideal_ratio(A, spec, seqs, seed=seed + t)
-        except ValueError:
-            continue
+        ratio = ideal_ratio(A, spec, seqs, seed=seed + t)
         est = op_norm(A, seed=seed + t)
         ceiling = est.bracket.upper
         rel = ratio / ceiling if ceiling > 0 else math.inf
@@ -462,11 +459,7 @@ def limit_stability_experiment(
     sup_upper = 0.0
     for i, B in enumerate(A_seq):
         est_m = ideal_norm(B, spec, k_max, restarts=restarts, seed=seed)
-        lower_m = est_m.bracket.lower
-        try:
-            lower_m = max(lower_m, ideal_ratio(B, spec, est.witness, seed=seed))
-        except ValueError:
-            pass
+        lower_m = max(est_m.bracket.lower, ideal_ratio(B, spec, est.witness, seed=seed))
         upper_m = lower_m * (1.0 + ASCENT_SLACK)
         sup_upper = max(sup_upper, upper_m)
         records.append({"member": i, "lower": lower_m, "upper": upper_m})

@@ -89,13 +89,15 @@ class SeqClassSpec:
     tag: str
     p: object = None  # exponent in [1, inf) where applicable
 
-    _PARAMETRIC = ("strong", "weak", "cohen")
-    _TAGS = ("sup", "strong", "weak", "rad", "cohen")
+    PARAMETRIC = ("strong", "weak", "cohen")
+    TAGS = ("sup", "strong", "weak", "rad", "cohen")
 
     def __post_init__(self):
-        if self.tag not in self._TAGS:
+        if self.tag not in self.TAGS:
             raise ValueError(f"unknown sequence-class tag {self.tag!r}")
-        if self.tag in self._PARAMETRIC:
+        if self.tag in self.PARAMETRIC:
+            if self.p is None:
+                raise ValueError(f"class {self.tag!r} requires an exponent")
             object.__setattr__(self, "p", _finite_exponent(self.p))
         elif self.p is not None:
             raise ValueError(f"class {self.tag!r} takes no exponent")

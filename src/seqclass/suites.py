@@ -7,10 +7,12 @@ the numbers needed to recheck every verdict offline.
 
 from __future__ import annotations
 
+import inspect
 import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -46,71 +48,12 @@ from .seqnorm import (
 )
 from .spaces import INF, Vector, as_exponent, vector_norm
 
-SUITE_NAMES = (
-    "seqnorm-axioms",
-    "linear-stability",
-    "weak1-stability",
-    "rad-stability",
-    "cohen-stability",
-    "growth",
-    "decoupling",
-    "holder-identity",
-    "ideal-axioms",
-    "limit-stability",
-)
-
 DEFAULT_TOLERANCES = {"exact": 1e-9, "slack": 1e-6}
 
-#: Config keys every suite accepts besides its own `_DEFAULTS` entry.
+#: Config keys every suite accepts besides its builder's keyword parameters.
 _RUN_KEYS = ("suite", "seed", "tolerances", "output_path")
 
-_FULL_MENU = ["1", "4/3", "3/2", "2", "3", "inf"]
-
-#: Cases a suite splits `trials` over; the other suites run all of them in every case.
-_TRIAL_PARTS = {"seqnorm-axioms": 3, "ideal-axioms": 2, "weak1-stability": "arities", "decoupling": "arities"}
-
-_DEFAULTS: dict[str, dict] = {
-    "seqnorm-axioms": {"trials": 150, "k_max": 5, "dims": [1, 2, 3], "exponents": _FULL_MENU},
-    "linear-stability": {"trials": 120, "k_max": 5, "dims": [1, 2, 3], "exponents": _FULL_MENU},
-    "weak1-stability": {
-        "trials": 500,
-        "arities": [2, 3],
-        "k_max": 8,
-        "dims": [1, 2, 3, 4],
-        "exponents": _FULL_MENU,
-        "attainment_ops": 12,
-        "attainment_k_max": 4,
-        "attainment_floor": 0.9,
-    },
-    "rad-stability": {
-        "trials": 200, "arities": [2], "k_max": 6,
-        "dims": [1, 2, 3, 4], "exponents": _FULL_MENU,
-    },
-    "cohen-stability": {
-        "trials": 60, "arities": [2], "k_max": 4, "dims": [1, 2, 3],
-    },
-    "growth": {
-        "curves": [
-            {"p": "2", "n": 2, "k_list": [1, 4, 9, 16, 25]},
-            {"p": "4/3", "n": 4, "k_list": [1, 16]},
-        ]
-    },
-    "decoupling": {
-        "trials": 500, "arities": [2, 3], "k_max": 6,
-        "dims": [1, 2, 3], "exponents": _FULL_MENU,
-    },
-    "holder-identity": {
-        "trials": 100, "k_max": 3, "dims": [1, 2, 3],
-        "exponents": _FULL_MENU, "band": 0.95,
-    },
-    "ideal-axioms": {
-        "trials": 200, "k_max": 2, "dims": [1, 2, 3], "exponents": ["1", "2", "inf"],
-    },
-    "limit-stability": {
-        "families": 50, "k_max": 3, "dims": [1, 2],
-        "exponents": ["1", "2", "inf"], "restarts": 2,
-    },
-}
+_FULL_MENU = ("1", "4/3", "3/2", "2", "3", "inf")
 
 _CLASS_MENU = [
     SeqClassSpec.sup(),
@@ -177,13 +120,6 @@ class SuiteReport:
         return rows
 
 
-def _sampler_args(cfg: dict):
-    dims = cfg["dims"]
-    dims = dims if isinstance(dims, int) else [int(d) for d in dims]
-    exps = tuple(as_exponent(e) for e in cfg.get("exponents", _FULL_MENU))
-    return dims, exps
-
-
 def _case_note(c: dict) -> str:
     for key in ("max_ratio_over_ceiling", "ratio", "residual", "excess", "value"):
         if key in c:
@@ -192,23 +128,84 @@ def _case_note(c: dict) -> str:
     return ""
 
 
+def _defaults(name: str) -> dict:
+    """Config keys of suite `name` and their defaults: its builder's keyword parameters."""
+    params = inspect.signature(_SUITES[name]).parameters.values()
+    return {p.name: p.default for p in params if p.default is not p.empty}
+
+
+def _check(label: str, val, default) -> None:
+    """Raise a `ValueError` naming `label` unless `val` is typed like `default`.
+
+    An int default takes an int >= 1, a float default a finite number and
+    a string default an exponent. A tuple default takes a nonempty list of
+    entries typed like its first, a dict default an object with the same
+    keys, each typed like its default.
+    """
+    scalar = isinstance(val, (int, float, str)) and not isinstance(val, bool)
+    if isinstance(default, tuple):
+        what, ok = "a nonempty list", isinstance(val, list) and val != []
+    elif isinstance(default, dict):
+        what = f"an object with keys {sorted(default)}"
+        ok = isinstance(val, dict) and val.keys() == default.keys()
+    elif isinstance(default, str):
+        what, ok = 'an exponent >= 1 such as 2, "4/3" or "inf"', scalar and _is_exponent(val)
+    elif isinstance(default, int):
+        what, ok = "an int >= 1", scalar and isinstance(val, int) and val >= 1
+    else:
+        what, ok = "a finite number", scalar and not isinstance(val, str) and math.isfinite(val)
+    if not ok:
+        raise ValueError(f"{label} must be {what}, got {val!r}")
+    if isinstance(default, tuple):
+        for item in val:
+            _check(f"{label} entry", item, default[0])
+    elif isinstance(default, dict):
+        for key, item in val.items():
+            _check(f"{label} {key!r}", item, default[key])
+
+
+def _is_exponent(val) -> bool:
+    try:
+        as_exponent(val)
+    except (ValueError, ZeroDivisionError):
+        return False
+    return True
+
+
+def _share(total: int, parts: int, key: str) -> int:
+    """Trials each of `parts` cases runs out of `total`; a `ValueError` naming `key` if none."""
+    if total < parts:
+        raise ValueError(f"config key {key!r} at {total!r} leaves some case with nothing to check")
+    return total // parts
+
+
 def run_suite(config: dict) -> SuiteReport:
     """Execute one suite from a config dict.
 
-    A key outside the suite's `_DEFAULTS` entry and `_RUN_KEYS`, or a
-    tolerance other than those of `DEFAULT_TOLERANCES`, is a `KeyError`:
-    the report's config block holds only values the suite reads. An empty
-    list, or a count that leaves some case with no trial, is a `ValueError`.
+    A suite's config keys and their defaults are its builder's keyword
+    parameters. A key outside them and `_RUN_KEYS`, or an unknown tolerance,
+    is a `KeyError`: the report's config block holds only values the suite
+    reads. A value not typed like its default (`_check`), a seed that is
+    not an int >= 0, or a count that leaves some case with no trial
+    (`_share`) is a `ValueError`, raised before any case runs.
     """
     if "suite" not in config:
         raise KeyError("config must name a suite")
     name = config["suite"]
     if name not in SUITE_NAMES:
         raise KeyError(f"unknown suite {name!r}; see `suite list`")
-    cfg = dict(_DEFAULTS[name])
-    for key in config:
-        if key not in cfg and key not in _RUN_KEYS:
+    cfg = _defaults(name)
+    for key, val in config.items():
+        if key in cfg:
+            _check(f"config key {key!r}", val, cfg[key])
+            cfg[key] = val
+        elif key not in _RUN_KEYS:
             raise KeyError(f"unknown config key {key!r} for suite {name}")
+    seed = config.get("seed", 0)
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise ValueError(f"config key 'seed' must be an int >= 0, got {seed!r}")
+    if not isinstance(config.get("output_path", ""), str):
+        raise ValueError(f"config key 'output_path' must be a string, got {config['output_path']!r}")
     given = config.get("tolerances", {})
     if not isinstance(given, dict):
         raise ValueError(f"tolerances must be an object, got {given!r}")
@@ -216,18 +213,12 @@ def run_suite(config: dict) -> SuiteReport:
     for key, val in given.items():
         if key not in tolerances:
             raise KeyError(f"unknown tolerance {key!r}; expected one of {sorted(tolerances)}")
+        _check(f"tolerance {key!r}", val, tolerances[key])
         tolerances[key] = val
-    cfg.update((key, val) for key, val in config.items() if key not in _RUN_KEYS)
-    parts = _TRIAL_PARTS.get(name, 1)
-    least = {"trials": len(cfg[parts]) if parts == "arities" else parts, "families": 2}
-    for key, val in cfg.items():  # every int is a count, and an empty list leaves a case nothing to do
-        if isinstance(val, list) and not val or isinstance(val, int) and val < least.get(key, 1):
-            raise ValueError(f"config key {key!r} at {val!r} leaves some case with nothing to check")
-    cfg["seed"] = int(config.get("seed", 0))
-    cfg["tolerances"] = tolerances
 
-    builder = _BUILDERS[name]
-    cases = builder(cfg)
+    cases = _SUITES[name](seed, tolerances, **cfg)
+    cfg["seed"] = seed
+    cfg["tolerances"] = tolerances
     t0 = time.perf_counter()
     results: list[dict] = []
     for case_name, thunk in cases:
@@ -243,7 +234,7 @@ def run_suite(config: dict) -> SuiteReport:
     violations = sum(1 for c in results if not c["passed"])
     return SuiteReport(
         suite=name,
-        seed=int(cfg["seed"]),
+        seed=seed,
         config=cfg,
         version=__version__,
         cases=tuple(results),
@@ -259,11 +250,12 @@ def run_suite(config: dict) -> SuiteReport:
 CaseList = Sequence[tuple[str, Callable[[], dict]]]
 
 
-def _suite_seqnorm_axioms(cfg: dict) -> CaseList:
-    seed, trials = int(cfg["seed"]), int(cfg["trials"])
-    k_max = int(cfg["k_max"])
-    dims, exps = _sampler_args(cfg)
-    tol_exact = float(cfg["tolerances"]["exact"])
+def _suite_seqnorm_axioms(
+    seed, tolerances, trials=150, k_max=5, dims=(1, 2, 3), exponents=_FULL_MENU
+) -> CaseList:
+    exps = tuple(map(as_exponent, exponents))
+    tol_exact = tolerances["exact"]
+    third = _share(trials, 3, "trials")
 
     def unit_sequence() -> dict:
         rng = np.random.default_rng([seed, 1])
@@ -314,7 +306,7 @@ def _suite_seqnorm_axioms(cfg: dict) -> CaseList:
     def truncation() -> dict:
         rng = np.random.default_rng([seed, 4])
         ok = True
-        for _ in range(trials // 3):
+        for _ in range(third):
             spec = _CLASS_MENU[rng.integers(len(_CLASS_MENU))]
             space = random_space(rng, dims, exps)
             k = int(rng.integers(1, k_max + 1))
@@ -323,12 +315,12 @@ def _suite_seqnorm_axioms(cfg: dict) -> CaseList:
             for m in range(k + 1):
                 part = seq_norm(truncate(s, m), spec, seed=seed)
                 ok = ok and part.lower <= full.upper + tol_exact
-        return {"passed": ok, "trials": trials // 3}
+        return {"passed": ok, "trials": third}
 
     def axioms() -> dict:
         rng = np.random.default_rng([seed, 5])
         ok = True
-        for _ in range(trials // 3):
+        for _ in range(third):
             spec = _CLASS_MENU[rng.integers(len(_CLASS_MENU))]
             space = random_space(rng, dims, exps)
             k = int(rng.integers(1, k_max + 1))
@@ -344,7 +336,7 @@ def _suite_seqnorm_axioms(cfg: dict) -> CaseList:
             nb = seq_norm(VecSeq(space, bmat), spec, seed=seed)
             nsum = seq_norm(VecSeq(space, a.mat + bmat), spec, seed=seed)
             ok = ok and nsum.lower <= na.upper + nb.upper + tol_exact
-        return {"passed": ok, "trials": trials // 3}
+        return {"passed": ok, "trials": third}
 
     return [
         ("unit-sequence", unit_sequence),
@@ -355,11 +347,11 @@ def _suite_seqnorm_axioms(cfg: dict) -> CaseList:
     ]
 
 
-def _suite_linear_stability(cfg: dict) -> CaseList:
-    seed, trials = int(cfg["seed"]), int(cfg["trials"])
-    k_max = int(cfg["k_max"])
-    dims, exps = _sampler_args(cfg)
-    tol = float(cfg["tolerances"]["exact"])
+def _suite_linear_stability(
+    seed, tolerances, trials=120, k_max=5, dims=(1, 2, 3), exponents=_FULL_MENU
+) -> CaseList:
+    exps = tuple(map(as_exponent, exponents))
+    tol = tolerances["exact"]
 
     def one_class(spec: SeqClassSpec, tag: int) -> Callable[[], dict]:
         def case() -> dict:
@@ -380,32 +372,15 @@ def _suite_linear_stability(cfg: dict) -> CaseList:
 
         return case
 
-    return [
-        (f"class-{spec.describe()}", one_class(spec, i))
-        for i, spec in enumerate(_CLASS_MENU)
-    ]
+    return [(f"class-{spec.describe()}", one_class(spec, i)) for i, spec in enumerate(_CLASS_MENU)]
 
 
-def _transport_cases(cfg: dict, name: str, trials: int, spec: SeqClassSpec | None) -> CaseList:
-    """One case per arity: the stability report of `spec`'s transport inequality.
-
-    `spec=None` runs the Cohen-Hoelder experiment instead.
-    """
-    seed, k_max = int(cfg["seed"]), int(cfg["k_max"])
-    dims, exps = _sampler_args(cfg)
-    tol = float(cfg["tolerances"]["slack"])
+def _transport_cases(name: str, arities, seed: int, report: Callable) -> CaseList:
+    """One case per arity n, the i-th listed: the verdict of `report(arity=n, seed=seed + i)`."""
 
     def one_arity(n: int, i: int) -> Callable[[], dict]:
         def case() -> dict:
-            if spec is None:
-                rep = cohen_holder_stability(
-                    trials, seed=seed + i, arity=n, k_max=k_max, dims=dims, tolerance=tol
-                )
-            else:
-                rep = stability_report(
-                    spec, n, trials, seed=seed + i,
-                    k_max=k_max, dims=dims, exponents=exps, tolerance=tol,
-                )
+            rep = report(arity=n, seed=seed + i)
             return {
                 "passed": rep.passed,
                 "trials": rep.trials,
@@ -415,54 +390,69 @@ def _transport_cases(cfg: dict, name: str, trials: int, spec: SeqClassSpec | Non
 
         return case
 
-    arities = [int(a) for a in cfg["arities"]]
     return [(f"{name}-n{n}", one_arity(n, i)) for i, n in enumerate(arities)]
 
 
-def _suite_weak1_stability(cfg: dict) -> CaseList:
-    seed = int(cfg["seed"])
-    dims, _ = _sampler_args(cfg)
-    share = int(cfg["trials"]) // len(cfg["arities"])
-    cases = _transport_cases(cfg, "weak1-transport", share, SeqClassSpec.weak(1))
+def _suite_weak1_stability(
+    seed, tolerances, trials=500, arities=(2, 3), k_max=8, dims=(1, 2, 3, 4), exponents=_FULL_MENU,
+    attainment_ops=12, attainment_k_max=4, attainment_floor=0.9,
+) -> CaseList:
+    report = partial(
+        stability_report, SeqClassSpec.weak(1), trials=_share(trials, len(arities), "trials"),
+        k_max=k_max, dims=dims, exponents=tuple(map(as_exponent, exponents)),
+        tolerance=tolerances["slack"],
+    )
 
     def attainment() -> dict:
         rng = np.random.default_rng([seed, 99])
-        n_ops = int(cfg["attainment_ops"])
-        floor = float(cfg["attainment_floor"])
         worst = math.inf
         spec2 = IdealSpec.uniform(SeqClassSpec.weak(1), 2)
-        for t in range(n_ops):
+        for t in range(attainment_ops):
             domain = [random_space(rng, dims, (1, 2, INF)) for _ in range(2)]
             A = random_multiop(rng, domain, random_space(rng, dims, (1, 2, INF)))
-            est = ideal_norm(A, spec2, int(cfg["attainment_k_max"]), restarts=4, seed=seed + t)
+            est = ideal_norm(A, spec2, attainment_k_max, restarts=4, seed=seed + t)
             lo = est.op_estimate.bracket.lower
             if lo > 0:
                 worst = min(worst, est.bracket.lower / lo)
-        return {"passed": worst >= floor, "value": worst, "ops": n_ops}
+        return {"passed": worst >= attainment_floor, "value": worst, "ops": attainment_ops}
 
+    cases = _transport_cases("weak1-transport", arities, seed, report)
     return [*cases, ("k-sweep-attainment", attainment)]
 
 
-def _suite_rad_stability(cfg: dict) -> CaseList:
-    return _transport_cases(cfg, "rad-transport", int(cfg["trials"]), SeqClassSpec.rad())
+def _suite_rad_stability(
+    seed, tolerances, trials=200, arities=(2,), k_max=6, dims=(1, 2, 3, 4), exponents=_FULL_MENU
+) -> CaseList:
+    report = partial(
+        stability_report, SeqClassSpec.rad(), trials=trials, k_max=k_max, dims=dims,
+        exponents=tuple(map(as_exponent, exponents)), tolerance=tolerances["slack"],
+    )
+    return _transport_cases("rad-transport", arities, seed, report)
 
 
-def _suite_cohen_stability(cfg: dict) -> CaseList:
-    return _transport_cases(cfg, "cohen-holder-transport", int(cfg["trials"]), None)
+def _suite_cohen_stability(
+    seed, tolerances, trials=60, arities=(2,), k_max=4, dims=(1, 2, 3)
+) -> CaseList:
+    report = partial(
+        cohen_holder_stability, trials=trials, k_max=k_max, dims=dims, tolerance=tolerances["slack"]
+    )
+    return _transport_cases("cohen-holder-transport", arities, seed, report)
 
 
-def _suite_growth(cfg: dict) -> CaseList:
-    tol = float(cfg["tolerances"]["slack"])
+_CURVES = (
+    {"p": "2", "n": 2, "k_list": (1, 4, 9, 16, 25)},
+    {"p": "4/3", "n": 4, "k_list": (1, 16)},
+)
+
+
+def _suite_growth(seed, tolerances, curves=_CURVES) -> CaseList:
+    tol = tolerances["slack"]
 
     def one_curve(spec: dict) -> Callable[[], dict]:
         def case() -> dict:
             p = Fraction(str(spec["p"]))
-            n = int(spec["n"])
-            ks = [int(k) for k in spec["k_list"]]
-            curve = growth_experiment(p, n, ks)
-            worst = max(
-                abs(ratio - k ** (1.0 / float(p))) for k, ratio in curve
-            )
+            curve = growth_experiment(p, spec["n"], spec["k_list"])
+            worst = max(abs(ratio - k ** (1.0 / float(p))) for k, ratio in curve)
             return {
                 "passed": worst <= tol,
                 "value": worst,
@@ -472,19 +462,14 @@ def _suite_growth(cfg: dict) -> CaseList:
 
         return case
 
-    return [
-        (f"growth-p{spec['p']}-n{spec['n']}", one_curve(spec))
-        for spec in cfg["curves"]
-    ]
+    return [(f"growth-p{spec['p']}-n{spec['n']}", one_curve(spec)) for spec in curves]
 
 
-def _suite_decoupling(cfg: dict) -> CaseList:
-    seed = int(cfg["seed"])
-    trials = int(cfg["trials"])
-    k_max = int(cfg["k_max"])
-    dims, exps = _sampler_args(cfg)
-    arities = [int(a) for a in cfg["arities"]]
-    share = trials // len(arities)
+def _suite_decoupling(
+    seed, tolerances, trials=500, arities=(2, 3), k_max=6, dims=(1, 2, 3), exponents=_FULL_MENU
+) -> CaseList:
+    exps = tuple(map(as_exponent, exponents))
+    share = _share(trials, len(arities), "trials")
 
     def one_arity(n: int, i: int) -> Callable[[], dict]:
         def case() -> dict:
@@ -503,14 +488,10 @@ def _suite_decoupling(cfg: dict) -> CaseList:
     return [(f"decoupling-n{n}", one_arity(n, i)) for i, n in enumerate(arities)]
 
 
-def _suite_holder_identity(cfg: dict) -> CaseList:
-    seed = int(cfg["seed"])
-    trials = int(cfg["trials"])
-    k_max = int(cfg["k_max"])
-    dims, exps = _sampler_args(cfg)
-    tol = float(cfg["tolerances"]["exact"])
-    slack = float(cfg["tolerances"]["slack"])
-    band = float(cfg["band"])
+def _suite_holder_identity(
+    seed, tolerances, trials=100, k_max=3, dims=(1, 2, 3), band=0.95
+) -> CaseList:
+    tol, slack = tolerances["exact"], tolerances["slack"]
 
     def identity_norms() -> dict:
         worst = 0.0
@@ -557,12 +538,12 @@ def _suite_holder_identity(cfg: dict) -> CaseList:
     return [("identity-norm-one", identity_norms), ("ideal=op-band", random_ops)]
 
 
-def _suite_ideal_axioms(cfg: dict) -> CaseList:
-    seed = int(cfg["seed"])
-    trials = int(cfg["trials"])
-    k_max = int(cfg["k_max"])
-    dims, exps = _sampler_args(cfg)
-    slack = float(cfg["tolerances"]["slack"])
+def _suite_ideal_axioms(
+    seed, tolerances, trials=200, k_max=2, dims=(1, 2, 3), exponents=("1", "2", "inf")
+) -> CaseList:
+    exps = tuple(map(as_exponent, exponents))
+    slack = tolerances["slack"]
+    half = _share(trials, 2, "trials")
     specs = [
         IdealSpec.uniform(SeqClassSpec.weak(1), 2),
         IdealSpec((SeqClassSpec.strong(2), SeqClassSpec.strong(2)), SeqClassSpec.strong(1)),
@@ -571,7 +552,7 @@ def _suite_ideal_axioms(cfg: dict) -> CaseList:
     def composition() -> dict:
         rng = np.random.default_rng([seed, 11])
         worst = -math.inf
-        for t in range(trials // 2):
+        for t in range(half):
             spec = specs[t % 2]
             domain = [random_space(rng, dims, exps) for _ in range(2)]
             cod = random_space(rng, dims, exps)
@@ -589,12 +570,12 @@ def _suite_ideal_axioms(cfg: dict) -> CaseList:
                 * math.prod(op_norm(u, seed=seed + t).bracket.upper for u in us)
             )
             worst = max(worst, lhs / rhs - 1.0 if rhs > 0 else 0.0)
-        return {"passed": worst <= slack, "value": worst, "trials": trials // 2}
+        return {"passed": worst <= slack, "value": worst, "trials": half}
 
     def finite_type_bound() -> dict:
         rng = np.random.default_rng([seed, 12])
         worst = -math.inf
-        for t in range(trials // 2):
+        for t in range(half):
             spec = specs[t % 2]
             s1 = random_space(rng, dims, exps)
             s2 = random_space(rng, dims, exps)
@@ -608,7 +589,7 @@ def _suite_ideal_axioms(cfg: dict) -> CaseList:
             A = finite_type([phi1, phi2], b)
             est = ideal_norm(A, spec, k_max, restarts=2, seed=seed + t)
             worst = max(worst, est.bracket.lower / expected - 1.0)
-        return {"passed": worst <= slack, "value": worst, "trials": trials // 2}
+        return {"passed": worst <= slack, "value": worst, "trials": half}
 
     def scalar_compat() -> dict:
         worst = max(
@@ -623,19 +604,18 @@ def _suite_ideal_axioms(cfg: dict) -> CaseList:
     ]
 
 
-def _suite_limit_stability(cfg: dict) -> CaseList:
-    seed = int(cfg["seed"])
-    families = int(cfg["families"])
-    k_max = int(cfg["k_max"])
-    dims, exps = _sampler_args(cfg)
-    restarts = int(cfg["restarts"])
+def _suite_limit_stability(
+    seed, tolerances, families=50, k_max=3, dims=(1, 2), exponents=("1", "2", "inf"), restarts=2
+) -> CaseList:
+    exps = tuple(map(as_exponent, exponents))
+    half = _share(families, 2, "families")
     ms = (1, 10, 1000, 1_000_000)
 
     def scaled() -> dict:
         rng = np.random.default_rng([seed, 21])
         spec = IdealSpec.uniform(SeqClassSpec.weak(1), 2)
         bad = 0
-        for t in range(families // 2):
+        for t in range(half):
             domain = [random_space(rng, dims, exps) for _ in range(2)]
             A = random_multiop(rng, domain, random_space(rng, dims, exps))
             fam = [
@@ -645,13 +625,13 @@ def _suite_limit_stability(cfg: dict) -> CaseList:
                 fam, A, spec, k_max, seed=seed + t, restarts=restarts
             )
             bad += 0 if rep.passed else 1
-        return {"passed": bad == 0, "violations": bad, "families": families // 2}
+        return {"passed": bad == 0, "violations": bad, "families": half}
 
     def perturbed() -> dict:
         rng = np.random.default_rng([seed, 22])
         spec = IdealSpec((SeqClassSpec.strong(2), SeqClassSpec.strong(2)), SeqClassSpec.strong(1))
         bad = 0
-        for t in range(families - families // 2):
+        for t in range(families - half):
             domain = [random_space(rng, dims, exps) for _ in range(2)]
             A = random_multiop(rng, domain, random_space(rng, dims, exps))
             B = random_multiop(rng, domain, A.codomain)
@@ -662,16 +642,13 @@ def _suite_limit_stability(cfg: dict) -> CaseList:
                 fam, A, spec, k_max, seed=seed + t, restarts=restarts
             )
             bad += 0 if rep.passed else 1
-        return {
-            "passed": bad == 0,
-            "violations": bad,
-            "families": families - families // 2,
-        }
+        return {"passed": bad == 0, "violations": bad, "families": families - half}
 
     return [("scaled-families", scaled), ("perturbation-families", perturbed)]
 
 
-_BUILDERS: dict[str, Callable[[dict], CaseList]] = {
+#: The suites, in `suite list` order; each builder's keyword parameters are its config.
+_SUITES: dict[str, Callable[..., CaseList]] = {
     "seqnorm-axioms": _suite_seqnorm_axioms,
     "linear-stability": _suite_linear_stability,
     "weak1-stability": _suite_weak1_stability,
@@ -683,3 +660,5 @@ _BUILDERS: dict[str, Callable[[dict], CaseList]] = {
     "ideal-axioms": _suite_ideal_axioms,
     "limit-stability": _suite_limit_stability,
 }
+
+SUITE_NAMES = tuple(_SUITES)

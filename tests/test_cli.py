@@ -13,7 +13,7 @@ from seqclass.cli import main
 from seqclass._jsonio import dumps, multiop_to_dict, parse_space
 from seqclass.multiop import diag_operator
 from seqclass.spaces import INF
-from seqclass.suites import _DEFAULTS, SUITE_NAMES
+from seqclass.suites import DEFAULT_TOLERANCES, SUITE_NAMES, _defaults, run_suite
 
 
 def run_cli(args, capsys):
@@ -257,7 +257,8 @@ def test_suite_config_file_round_trip(tmp_path, capsys):
 def test_suite_config_unknown_key_exits_2(suite, tmp_path, capsys):
     # every key of another suite's defaults that this suite does not read,
     # an unknown key, and an unknown tolerance name
-    foreign = sorted(set().union(*_DEFAULTS.values()) - set(_DEFAULTS[suite]))
+    defaults = {name: _defaults(name) for name in SUITE_NAMES}
+    foreign = sorted(set().union(*defaults.values()) - set(defaults[suite]))
     assert foreign
     bad = [({key: 1}, key) for key in foreign + ["bogus"]]
     bad += [({"tolerances": {"exactt": 1}}, "exactt"), ({"tolerances": 5}, "tolerances")]
@@ -295,6 +296,47 @@ def test_suite_config_checking_nothing_exits_2(suite, values, key, tmp_path, cap
     code, out, err = run_cli(["suite", "run", str(cfg_path)], capsys)
     assert code == 2 and out == ""
     assert repr(key) in err
+
+
+@pytest.mark.parametrize(
+    "suite, values, key",
+    [
+        ("decoupling", {"trials": "0"}, "trials"),
+        ("holder-identity", {"trials": "0"}, "trials"),
+        ("decoupling", {"trials": True, "arities": [2]}, "trials"),
+        ("decoupling", {"trials": 2.5}, "trials"),
+        ("seqnorm-axioms", {"tolerances": {"exact": "1e-9"}}, "exact"),
+        ("decoupling", {"k_max": 0.5}, "k_max"),
+        ("decoupling", {"dims": [0, 2]}, "dims"),
+        ("decoupling", {"dims": 3}, "dims"),
+        ("decoupling", {"arities": [2.0]}, "arities"),
+        ("growth", {"curves": [5]}, "curves"),
+        ("seqnorm-axioms", {"exponents": [[1]]}, "exponents"),
+        ("seqnorm-axioms", {"exponents": ["1/0"]}, "exponents"),
+        ("seqnorm-axioms", {"exponents": [True]}, "exponents"),
+        ("growth", {"curves": [{"p": "1/2", "n": 2, "k_list": [1]}]}, "curves"),
+        ("growth", {"curves": [{"p": "2", "n": 2, "k_list": []}]}, "k_list"),
+        ("growth", {"curves": [{"p": "2", "n": 2}]}, "curves"),
+        ("holder-identity", {"band": "0.95"}, "band"),
+        ("decoupling", {"seed": "5"}, "seed"),
+        ("decoupling", {"seed": -1}, "seed"),
+        ("decoupling", {"output_path": 5}, "output_path"),
+    ],
+)
+def test_suite_config_mistyped_value_exits_2(suite, values, key, tmp_path, capsys):
+    # each value is typed against its default before any case runs; an
+    # uncaught exception (a traceback from the command line) fails the test
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"suite": suite, **values}))
+    code, out, err = run_cli(["suite", "run", str(cfg_path)], capsys)
+    assert code == 2 and out == ""
+    assert repr(key) in err
+
+
+def test_suite_report_config_is_builder_defaults_plus_given_values():
+    report = run_suite({"suite": "decoupling", "trials": 4, "dims": [2], "seed": 2})
+    expected = {**_defaults("decoupling"), "trials": 4, "dims": [2]}
+    assert report.config == {**expected, "seed": 2, "tolerances": DEFAULT_TOLERANCES}
 
 
 def test_case_records_recompute_verdict(tmp_path, capsys):

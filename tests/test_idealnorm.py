@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from seqclass.spaces import INF, Space, Vector
+from seqclass import idealnorm
 from seqclass.seqnorm import SeqClassSpec, VecSeq
 from seqclass.multiop import (
     MultiOp,
@@ -219,6 +220,26 @@ def test_stability_cohen_no_violations():
 def test_stability_rejects_weak_p_above_one():
     with pytest.raises(ValueError):
         stability_report(SeqClassSpec.weak(2), arity=2, trials=5, seed=0)
+
+
+def _engine_fault(*args, **kwargs):
+    raise ValueError("engine fault")
+
+
+def test_stability_report_surfaces_engine_faults(monkeypatch):
+    # no trial draws a zero sequence, so a ValueError from a ratio is a fault, not a skipped trial
+    monkeypatch.setattr(idealnorm, "seq_norm_block", _engine_fault)
+    with pytest.raises(ValueError, match="engine fault"):
+        stability_report(SeqClassSpec.weak(1), 2, 20, seed=1, k_max=3, dims=3)
+
+
+def test_limit_stability_surfaces_engine_faults(monkeypatch):
+    rng = np.random.default_rng(12)
+    A = MultiOp((Space(2, 2), Space(2, 2)), Space(2, 2), rng.standard_normal((2, 2, 2)))
+    spec = IdealSpec.uniform(SeqClassSpec.weak(1), 2)
+    monkeypatch.setattr(idealnorm, "ideal_ratio", _engine_fault)
+    with pytest.raises(ValueError, match="engine fault"):
+        limit_stability_experiment([A, A], A, spec, k_max=2, seed=13)
 
 
 def test_limit_stability_scaled_family():

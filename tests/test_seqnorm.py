@@ -234,6 +234,12 @@ def test_weak_rejects_bad_p():
         norm_weak_p(s, INF)
 
 
+@pytest.mark.parametrize("tag", SeqClassSpec.PARAMETRIC)
+def test_parametric_class_requires_exponent(tag):
+    with pytest.raises(ValueError, match=f"'{tag}' requires an exponent"):
+        SeqClassSpec(tag)
+
+
 # --- Rademacher --------------------------------------------------------------
 
 def test_rad_scalar_pair():
