@@ -28,12 +28,12 @@ def format_float(x: float) -> str:
     return f"{x:.17g}"
 
 
-def dumps(obj: Any, indent: int = 2) -> str:
-    """Serialize with sorted keys and 17-significant-digit floats."""
+def dumps(obj: Any) -> str:
+    """Serialize with sorted keys, 17-significant-digit floats and a two-space indent."""
 
     def emit(o: Any, depth: int) -> str:
-        pad = " " * (indent * depth)
-        pad_in = " " * (indent * (depth + 1))
+        pad = "  " * depth
+        pad_in = pad + "  "
         if o is None:
             return "null"
         if isinstance(o, bool):

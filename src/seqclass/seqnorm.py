@@ -179,8 +179,8 @@ class NormBracket:
     def width(self) -> float:
         return self.upper - self.lower
 
-    def contains(self, value: float, tol: float = 0.0) -> bool:
-        return self.lower - tol <= value <= self.upper + tol
+    def contains(self, value: float) -> bool:
+        return self.lower <= value <= self.upper
 
 
 # ---------------------------------------------------------------------------

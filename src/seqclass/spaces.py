@@ -47,20 +47,23 @@ def as_exponent(q) -> Exponent:
 
     Accepts ints, floats, Fractions and strings like ``"4/3"`` or ``"inf"``.
     Finite values become `Fraction` (floats convert exactly via their binary
-    expansion), infinity stays `math.inf`.
+    expansion), infinity stays `math.inf`. Anything else, a zero
+    denominator, NaN or a value below 1 included, is a `ValueError`.
     """
     if isinstance(q, Fraction) and q.numerator >= q.denominator:
         return q  # already normalized; q >= 1 checked exactly
     if isinstance(q, str):
         if q.strip().lower() in ("inf", "infinity", "oo"):
             return INF
-        q = Fraction(q)
+        try:
+            q = Fraction(q)
+        except ZeroDivisionError:
+            raise ValueError(f"exponent {q!r} has a zero denominator") from None
     if q == INF:
         return INF
-    q = Fraction(q)
-    if q < 1:
+    if not q >= 1:  # NaN and -inf stop here, before a Fraction conversion they would fail
         raise ValueError(f"exponent must satisfy q >= 1, got {q}")
-    return q
+    return Fraction(q)
 
 
 @lru_cache(maxsize=256)

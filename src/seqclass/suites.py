@@ -2,7 +2,9 @@
 
 Each suite expands a config into independent cases, runs them one after
 another in order, and returns a `SuiteReport` whose per-case records carry
-the numbers needed to recheck every verdict offline.
+the numbers needed to recheck every verdict offline. Every pass/fail
+threshold is a constant: `_EXACT_TOL`, `TRANSPORT_SLACK`, `_BAND`,
+`_ATTAINMENT_FLOOR` and the literal gates in the builders. No config moves one.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import numpy as np
 
 from . import __version__
 from .idealnorm import (
+    TRANSPORT_SLACK,
     IdealSpec,
     cohen_holder_stability,
     growth_experiment,
@@ -48,10 +51,15 @@ from .seqnorm import (
 )
 from .spaces import INF, Vector, as_exponent, vector_norm
 
-DEFAULT_TOLERANCES = {"exact": 1e-9, "slack": 1e-6}
+#: Gate on values computed exactly (closed forms, enumerations), absolute or relative to max(1, value).
+_EXACT_TOL = 1e-9
+#: Least ratio of summing norm to operator norm the holder-identity search must reach.
+_BAND = 0.95
+#: Least ratio of the weak-1 k-sweep's lower end to the operator norm's.
+_ATTAINMENT_FLOOR = 0.9
 
 #: Config keys every suite accepts besides its builder's keyword parameters.
-_RUN_KEYS = ("suite", "seed", "tolerances", "output_path")
+_RUN_KEYS = ("suite", "seed", "output_path")
 
 _FULL_MENU = ("1", "4/3", "3/2", "2", "3", "inf")
 
@@ -137,10 +145,9 @@ def _defaults(name: str) -> dict:
 def _check(label: str, val, default) -> None:
     """Raise a `ValueError` naming `label` unless `val` is typed like `default`.
 
-    An int default takes an int >= 1, a float default a finite number and
-    a string default an exponent. A tuple default takes a nonempty list of
-    entries typed like its first, a dict default an object with the same
-    keys, each typed like its default.
+    An int default takes an int >= 1 and a string default an exponent. A
+    tuple default takes a nonempty list of entries typed like its first, a
+    dict default an object with the same keys, each typed like its default.
     """
     scalar = isinstance(val, (int, float, str)) and not isinstance(val, bool)
     if isinstance(default, tuple):
@@ -150,10 +157,8 @@ def _check(label: str, val, default) -> None:
         ok = isinstance(val, dict) and val.keys() == default.keys()
     elif isinstance(default, str):
         what, ok = 'an exponent >= 1 such as 2, "4/3" or "inf"', scalar and _is_exponent(val)
-    elif isinstance(default, int):
-        what, ok = "an int >= 1", scalar and isinstance(val, int) and val >= 1
     else:
-        what, ok = "a finite number", scalar and not isinstance(val, str) and math.isfinite(val)
+        what, ok = "an int >= 1", scalar and isinstance(val, int) and val >= 1
     if not ok:
         raise ValueError(f"{label} must be {what}, got {val!r}")
     if isinstance(default, tuple):
@@ -167,7 +172,7 @@ def _check(label: str, val, default) -> None:
 def _is_exponent(val) -> bool:
     try:
         as_exponent(val)
-    except (ValueError, ZeroDivisionError):
+    except ValueError:
         return False
     return True
 
@@ -183,11 +188,12 @@ def run_suite(config: dict) -> SuiteReport:
     """Execute one suite from a config dict.
 
     A suite's config keys and their defaults are its builder's keyword
-    parameters. A key outside them and `_RUN_KEYS`, or an unknown tolerance,
-    is a `KeyError`: the report's config block holds only values the suite
-    reads. A value not typed like its default (`_check`), a seed that is
-    not an int >= 0, or a count that leaves some case with no trial
-    (`_share`) is a `ValueError`, raised before any case runs.
+    parameters. A key outside them and `_RUN_KEYS` is a `KeyError`: the
+    report's config block holds only values the suite reads, and no key
+    reaches a pass/fail threshold. A value not typed like its default
+    (`_check`), a seed that is not an int >= 0, a count that leaves some
+    case with no trial (`_share`) or a growth curve outside the theorem's
+    range is a `ValueError`, raised before any case runs.
     """
     if "suite" not in config:
         raise KeyError("config must name a suite")
@@ -206,19 +212,9 @@ def run_suite(config: dict) -> SuiteReport:
         raise ValueError(f"config key 'seed' must be an int >= 0, got {seed!r}")
     if not isinstance(config.get("output_path", ""), str):
         raise ValueError(f"config key 'output_path' must be a string, got {config['output_path']!r}")
-    given = config.get("tolerances", {})
-    if not isinstance(given, dict):
-        raise ValueError(f"tolerances must be an object, got {given!r}")
-    tolerances = dict(DEFAULT_TOLERANCES)
-    for key, val in given.items():
-        if key not in tolerances:
-            raise KeyError(f"unknown tolerance {key!r}; expected one of {sorted(tolerances)}")
-        _check(f"tolerance {key!r}", val, tolerances[key])
-        tolerances[key] = val
 
-    cases = _SUITES[name](seed, tolerances, **cfg)
+    cases = _SUITES[name](seed, **cfg)
     cfg["seed"] = seed
-    cfg["tolerances"] = tolerances
     t0 = time.perf_counter()
     results: list[dict] = []
     for case_name, thunk in cases:
@@ -251,10 +247,9 @@ CaseList = Sequence[tuple[str, Callable[[], dict]]]
 
 
 def _suite_seqnorm_axioms(
-    seed, tolerances, trials=150, k_max=5, dims=(1, 2, 3), exponents=_FULL_MENU
+    seed, trials=150, k_max=5, dims=(1, 2, 3), exponents=_FULL_MENU
 ) -> CaseList:
     exps = tuple(map(as_exponent, exponents))
-    tol_exact = tolerances["exact"]
     third = _share(trials, 3, "trials")
 
     def unit_sequence() -> dict:
@@ -270,7 +265,7 @@ def _suite_seqnorm_axioms(
             b = seq_norm(VecSeq(space, mat), spec, seed=seed)
             scale = max(1.0, expect)
             worst = max(worst, abs(b.lower - expect) / scale, abs(b.upper - expect) / scale)
-        return {"passed": worst <= tol_exact, "value": worst, "trials": trials}
+        return {"passed": worst <= _EXACT_TOL, "value": worst, "trials": trials}
 
     def embedding() -> dict:
         rng = np.random.default_rng([seed, 2])
@@ -281,7 +276,7 @@ def _suite_seqnorm_axioms(
             s = random_vecseq(rng, space, int(rng.integers(0, k_max + 1)))
             b = seq_norm(s, spec, seed=seed)
             worst = max(worst, norm_sup(s) - b.upper)
-        return {"passed": worst <= tol_exact, "value": worst, "trials": trials}
+        return {"passed": worst <= _EXACT_TOL, "value": worst, "trials": trials}
 
     def ordering() -> dict:
         rng = np.random.default_rng([seed, 3])
@@ -296,7 +291,7 @@ def _suite_seqnorm_axioms(
             ch = norm_cohen(s, p, seed=seed)
             gaps = (
                 wk.upper - sp - 1e-12 * max(1, sp),
-                sp - ch.upper - tol_exact * max(1, sp),
+                sp - ch.upper - _EXACT_TOL * max(1, sp),
                 ch.upper - norm_strong_p(s, 1) - 1e-12 * max(1, sp),
             )
             worst = max(worst, *gaps)
@@ -314,7 +309,7 @@ def _suite_seqnorm_axioms(
             full = seq_norm(s, spec, seed=seed)
             for m in range(k + 1):
                 part = seq_norm(truncate(s, m), spec, seed=seed)
-                ok = ok and part.lower <= full.upper + tol_exact
+                ok = ok and part.lower <= full.upper + _EXACT_TOL
         return {"passed": ok, "trials": third}
 
     def axioms() -> dict:
@@ -332,10 +327,10 @@ def _suite_seqnorm_axioms(
             if na.exact and nca.exact:
                 ok = ok and abs(nca.lower - c * na.lower) <= 1e-12 * max(1, c * na.lower)
             else:
-                ok = ok and nca.lower <= c * na.upper * (1 + tol_exact) + 1e-12
+                ok = ok and nca.lower <= c * na.upper * (1 + _EXACT_TOL) + 1e-12
             nb = seq_norm(VecSeq(space, bmat), spec, seed=seed)
             nsum = seq_norm(VecSeq(space, a.mat + bmat), spec, seed=seed)
-            ok = ok and nsum.lower <= na.upper + nb.upper + tol_exact
+            ok = ok and nsum.lower <= na.upper + nb.upper + _EXACT_TOL
         return {"passed": ok, "trials": third}
 
     return [
@@ -348,10 +343,9 @@ def _suite_seqnorm_axioms(
 
 
 def _suite_linear_stability(
-    seed, tolerances, trials=120, k_max=5, dims=(1, 2, 3), exponents=_FULL_MENU
+    seed, trials=120, k_max=5, dims=(1, 2, 3), exponents=_FULL_MENU
 ) -> CaseList:
     exps = tuple(map(as_exponent, exponents))
-    tol = tolerances["exact"]
 
     def one_class(spec: SeqClassSpec, tag: int) -> Callable[[], dict]:
         def case() -> dict:
@@ -368,7 +362,7 @@ def _suite_linear_stability(
                 rhs = seq_norm(s, spec, seed=seed)
                 ceiling = op_norm(u, seed=seed).bracket.upper
                 worst = max(worst, lhs.lower - ceiling * rhs.upper)
-            return {"passed": worst <= tol, "value": worst}
+            return {"passed": worst <= _EXACT_TOL, "value": worst}
 
         return case
 
@@ -394,13 +388,12 @@ def _transport_cases(name: str, arities, seed: int, report: Callable) -> CaseLis
 
 
 def _suite_weak1_stability(
-    seed, tolerances, trials=500, arities=(2, 3), k_max=8, dims=(1, 2, 3, 4), exponents=_FULL_MENU,
-    attainment_ops=12, attainment_k_max=4, attainment_floor=0.9,
+    seed, trials=500, arities=(2, 3), k_max=8, dims=(1, 2, 3, 4), exponents=_FULL_MENU,
+    attainment_ops=12, attainment_k_max=4,
 ) -> CaseList:
     report = partial(
         stability_report, SeqClassSpec.weak(1), trials=_share(trials, len(arities), "trials"),
         k_max=k_max, dims=dims, exponents=tuple(map(as_exponent, exponents)),
-        tolerance=tolerances["slack"],
     )
 
     def attainment() -> dict:
@@ -414,28 +407,24 @@ def _suite_weak1_stability(
             lo = est.op_estimate.bracket.lower
             if lo > 0:
                 worst = min(worst, est.bracket.lower / lo)
-        return {"passed": worst >= attainment_floor, "value": worst, "ops": attainment_ops}
+        return {"passed": worst >= _ATTAINMENT_FLOOR, "value": worst, "ops": attainment_ops}
 
     cases = _transport_cases("weak1-transport", arities, seed, report)
     return [*cases, ("k-sweep-attainment", attainment)]
 
 
 def _suite_rad_stability(
-    seed, tolerances, trials=200, arities=(2,), k_max=6, dims=(1, 2, 3, 4), exponents=_FULL_MENU
+    seed, trials=200, arities=(2,), k_max=6, dims=(1, 2, 3, 4), exponents=_FULL_MENU
 ) -> CaseList:
     report = partial(
         stability_report, SeqClassSpec.rad(), trials=trials, k_max=k_max, dims=dims,
-        exponents=tuple(map(as_exponent, exponents)), tolerance=tolerances["slack"],
+        exponents=tuple(map(as_exponent, exponents)),
     )
     return _transport_cases("rad-transport", arities, seed, report)
 
 
-def _suite_cohen_stability(
-    seed, tolerances, trials=60, arities=(2,), k_max=4, dims=(1, 2, 3)
-) -> CaseList:
-    report = partial(
-        cohen_holder_stability, trials=trials, k_max=k_max, dims=dims, tolerance=tolerances["slack"]
-    )
+def _suite_cohen_stability(seed, trials=60, arities=(2,), k_max=4, dims=(1, 2, 3)) -> CaseList:
+    report = partial(cohen_holder_stability, trials=trials, k_max=k_max, dims=dims)
     return _transport_cases("cohen-holder-transport", arities, seed, report)
 
 
@@ -445,16 +434,19 @@ _CURVES = (
 )
 
 
-def _suite_growth(seed, tolerances, curves=_CURVES) -> CaseList:
-    tol = tolerances["slack"]
-
+def _suite_growth(seed, curves=_CURVES) -> CaseList:
     def one_curve(spec: dict) -> Callable[[], dict]:
+        p = as_exponent(spec["p"])
+        try:  # the experiment's own range checks, before any case runs
+            growth_experiment(p, spec["n"], ())
+        except ValueError as exc:
+            raise ValueError(f"config key 'curves' entry {spec!r}: {exc}") from None
+
         def case() -> dict:
-            p = Fraction(str(spec["p"]))
             curve = growth_experiment(p, spec["n"], spec["k_list"])
             worst = max(abs(ratio - k ** (1.0 / float(p))) for k, ratio in curve)
             return {
-                "passed": worst <= tol,
+                "passed": worst <= TRANSPORT_SLACK,
                 "value": worst,
                 "curve": [[k, r] for k, r in curve],
                 "law": f"k^(1/{spec['p']})",
@@ -466,7 +458,7 @@ def _suite_growth(seed, tolerances, curves=_CURVES) -> CaseList:
 
 
 def _suite_decoupling(
-    seed, tolerances, trials=500, arities=(2, 3), k_max=6, dims=(1, 2, 3), exponents=_FULL_MENU
+    seed, trials=500, arities=(2, 3), k_max=6, dims=(1, 2, 3), exponents=_FULL_MENU
 ) -> CaseList:
     exps = tuple(map(as_exponent, exponents))
     share = _share(trials, len(arities), "trials")
@@ -488,11 +480,7 @@ def _suite_decoupling(
     return [(f"decoupling-n{n}", one_arity(n, i)) for i, n in enumerate(arities)]
 
 
-def _suite_holder_identity(
-    seed, tolerances, trials=100, k_max=3, dims=(1, 2, 3), band=0.95
-) -> CaseList:
-    tol, slack = tolerances["exact"], tolerances["slack"]
-
+def _suite_holder_identity(seed, trials=100, k_max=3, dims=(1, 2, 3)) -> CaseList:
     def identity_norms() -> dict:
         worst = 0.0
         for n, ps, p_out in [
@@ -506,7 +494,7 @@ def _suite_holder_identity(
             )
             est = ideal_norm(scalar_multiplication(n), spec, k_max, restarts=4, seed=seed)
             worst = max(worst, abs(est.bracket.lower - 1.0))
-        return {"passed": worst <= tol, "value": worst}
+        return {"passed": worst <= _EXACT_TOL, "value": worst}
 
     def random_ops() -> dict:
         rng = np.random.default_rng([seed, 7])
@@ -529,7 +517,7 @@ def _suite_holder_identity(
             lo_ratio = min(lo_ratio, est.bracket.lower / op.lower)
             hi_excess = max(hi_excess, est.bracket.lower / op.upper - 1.0)
         return {
-            "passed": lo_ratio >= band and hi_excess <= slack,
+            "passed": lo_ratio >= _BAND and hi_excess <= TRANSPORT_SLACK,
             "value": lo_ratio,
             "max_excess_over_op": hi_excess,
             "trials": trials,
@@ -539,10 +527,9 @@ def _suite_holder_identity(
 
 
 def _suite_ideal_axioms(
-    seed, tolerances, trials=200, k_max=2, dims=(1, 2, 3), exponents=("1", "2", "inf")
+    seed, trials=200, k_max=2, dims=(1, 2, 3), exponents=("1", "2", "inf")
 ) -> CaseList:
     exps = tuple(map(as_exponent, exponents))
-    slack = tolerances["slack"]
     half = _share(trials, 2, "trials")
     specs = [
         IdealSpec.uniform(SeqClassSpec.weak(1), 2),
@@ -570,7 +557,7 @@ def _suite_ideal_axioms(
                 * math.prod(op_norm(u, seed=seed + t).bracket.upper for u in us)
             )
             worst = max(worst, lhs / rhs - 1.0 if rhs > 0 else 0.0)
-        return {"passed": worst <= slack, "value": worst, "trials": half}
+        return {"passed": worst <= TRANSPORT_SLACK, "value": worst, "trials": half}
 
     def finite_type_bound() -> dict:
         rng = np.random.default_rng([seed, 12])
@@ -589,7 +576,7 @@ def _suite_ideal_axioms(
             A = finite_type([phi1, phi2], b)
             est = ideal_norm(A, spec, k_max, restarts=2, seed=seed + t)
             worst = max(worst, est.bracket.lower / expected - 1.0)
-        return {"passed": worst <= slack, "value": worst, "trials": half}
+        return {"passed": worst <= TRANSPORT_SLACK, "value": worst, "trials": half}
 
     def scalar_compat() -> dict:
         worst = max(
@@ -605,7 +592,7 @@ def _suite_ideal_axioms(
 
 
 def _suite_limit_stability(
-    seed, tolerances, families=50, k_max=3, dims=(1, 2), exponents=("1", "2", "inf"), restarts=2
+    seed, families=50, k_max=3, dims=(1, 2), exponents=("1", "2", "inf"), restarts=2
 ) -> CaseList:
     exps = tuple(map(as_exponent, exponents))
     half = _share(families, 2, "families")

@@ -13,7 +13,7 @@ from seqclass.cli import main
 from seqclass._jsonio import dumps, multiop_to_dict, parse_space
 from seqclass.multiop import diag_operator
 from seqclass.spaces import INF
-from seqclass.suites import DEFAULT_TOLERANCES, SUITE_NAMES, _defaults, run_suite
+from seqclass.suites import SUITE_NAMES, _defaults, run_suite
 
 
 def run_cli(args, capsys):
@@ -256,12 +256,15 @@ def test_suite_config_file_round_trip(tmp_path, capsys):
 @pytest.mark.parametrize("suite", SUITE_NAMES)
 def test_suite_config_unknown_key_exits_2(suite, tmp_path, capsys):
     # every key of another suite's defaults that this suite does not read,
-    # an unknown key, and an unknown tolerance name
+    # an unknown key, and the keys that once moved a pass/fail threshold;
+    # every threshold is a constant, so no default is a float
     defaults = {name: _defaults(name) for name in SUITE_NAMES}
+    assert not any(isinstance(v, float) for v in defaults[suite].values())
     foreign = sorted(set().union(*defaults.values()) - set(defaults[suite]))
     assert foreign
     bad = [({key: 1}, key) for key in foreign + ["bogus"]]
-    bad += [({"tolerances": {"exactt": 1}}, "exactt"), ({"tolerances": 5}, "tolerances")]
+    bad += [({"tolerances": {"slack": 1}}, "tolerances"), ({"band": 0.5}, "band")]
+    bad += [({"attainment_floor": 0}, "attainment_floor")]
     cfg_path = tmp_path / "cfg.json"
     for extra, key in bad:
         cfg_path.write_text(json.dumps({"suite": suite, **extra}))
@@ -305,7 +308,7 @@ def test_suite_config_checking_nothing_exits_2(suite, values, key, tmp_path, cap
         ("holder-identity", {"trials": "0"}, "trials"),
         ("decoupling", {"trials": True, "arities": [2]}, "trials"),
         ("decoupling", {"trials": 2.5}, "trials"),
-        ("seqnorm-axioms", {"tolerances": {"exact": "1e-9"}}, "exact"),
+        ("seqnorm-axioms", {"exponents": [-math.inf]}, "exponents"),
         ("decoupling", {"k_max": 0.5}, "k_max"),
         ("decoupling", {"dims": [0, 2]}, "dims"),
         ("decoupling", {"dims": 3}, "dims"),
@@ -321,11 +324,15 @@ def test_suite_config_checking_nothing_exits_2(suite, values, key, tmp_path, cap
         ("decoupling", {"seed": "5"}, "seed"),
         ("decoupling", {"seed": -1}, "seed"),
         ("decoupling", {"output_path": 5}, "output_path"),
+        ("growth", {"curves": [{"p": "2", "n": 1, "k_list": [1, 4]}]}, "curves"),
+        ("growth", {"curves": [{"p": "inf", "n": 2, "k_list": [1, 4]}]}, "curves"),
+        ("growth", {"curves": [{"p": "1", "n": 2, "k_list": [1, 4]}]}, "curves"),
     ],
 )
 def test_suite_config_mistyped_value_exits_2(suite, values, key, tmp_path, capsys):
-    # each value is typed against its default before any case runs; an
-    # uncaught exception (a traceback from the command line) fails the test
+    # each value is typed against its default, and each growth curve checked
+    # against the theorem's range, before any case runs; an uncaught
+    # exception (a traceback from the command line) fails the test
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"suite": suite, **values}))
     code, out, err = run_cli(["suite", "run", str(cfg_path)], capsys)
@@ -336,7 +343,26 @@ def test_suite_config_mistyped_value_exits_2(suite, values, key, tmp_path, capsy
 def test_suite_report_config_is_builder_defaults_plus_given_values():
     report = run_suite({"suite": "decoupling", "trials": 4, "dims": [2], "seed": 2})
     expected = {**_defaults("decoupling"), "trials": 4, "dims": [2]}
-    assert report.config == {**expected, "seed": 2, "tolerances": DEFAULT_TOLERANCES}
+    assert report.config == {**expected, "seed": 2}
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["norm", "--class", "weak", "--p", "1/0", "--space", "l2:2", "--seq", "[[1,0]]"],
+        ["norm", "--class", "sup", "--space", "l1/0:2", "--seq", "[[1,0]]"],
+        ["ideal", "--in-class", "weak", "--in-p", "1/0"],
+        ["ideal", "--in-class", "weak", "--in-p", "2", "--out-p", "1/0"],
+    ],
+)
+def test_zero_denominator_exponent_exits_2(args, tmp_path, capsys):
+    op_path = tmp_path / "op.json"
+    op_path.write_text(dumps(multiop_to_dict(diag_operator(2, 2, 2))))
+    if args[0] == "ideal":
+        args = args + ["--op-file", str(op_path), "--k-max", "1"]
+    code, out, err = run_cli(args, capsys)
+    assert code == 2 and out == ""
+    assert "zero denominator" in err
 
 
 def test_case_records_recompute_verdict(tmp_path, capsys):

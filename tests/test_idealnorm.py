@@ -201,10 +201,17 @@ def test_stability_rad_no_violations():
     assert rep.passed
 
 
-def test_stability_rad_checks_every_length_up_to_k_max():
+def test_stability_rad_checks_every_length_up_to_k_max(monkeypatch):
+    lengths = []
+
+    def recording_ratio(A, spec, seqs, seed=0):
+        lengths.append(len(seqs[0]))
+        return ideal_ratio(A, spec, seqs, seed=seed)
+
+    monkeypatch.setattr(idealnorm, "ideal_ratio", recording_ratio)
     rep = stability_report(SeqClassSpec.rad(), arity=2, trials=20, seed=1, k_max=8, dims=2)
     assert rep.passed
-    assert max(c["k"] for c in rep.cases) == 8
+    assert max(lengths) == 8
 
 
 def test_stability_strong_no_violations():
@@ -292,6 +299,9 @@ def test_stable_family_specs():
     assert s.output.tag == "rad"
     with pytest.raises(ValueError):
         IdealSpec.stable_family(SeqClassSpec.sup(), 2)
+    assert IdealSpec.stable_family(SeqClassSpec.weak(1), 2).output.p == 1
+    with pytest.raises(ValueError):  # weak-p for p > 1 does not transport
+        IdealSpec.stable_family(SeqClassSpec.weak(2), 2)
 
 
 # --- the population climb ------------------------------------------------------
