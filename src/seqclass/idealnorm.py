@@ -24,8 +24,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .multiop import MultiOp, OpNormEstimate, diag_operator, evaluate_batch, op_norm
-from .sampling import DEFAULT_EXPONENTS, random_multiop, random_space, random_vecseq
+from .multiop import MultiOp, OpNormEstimate, diag_operator, evaluate_batch, op_norm, seq_tuple_length
+from .sampling import DEFAULT_EXPONENTS, random_operator, random_vecseq
 from .seqnorm import (
     ASCENT_SLACK,
     NormBracket,
@@ -79,18 +79,24 @@ class IdealSpec:
         return cls((spec,) * n, spec)
 
     @classmethod
+    def holder(cls, tag: str, ps: Sequence) -> "IdealSpec":
+        """(tag p_1, ..., tag p_n; tag p) with p = max(1, 1 / sum_m 1/p_m) in exact Fractions."""
+        inputs = tuple(SeqClassSpec(tag, p) for p in ps)
+        p_out = max(Fraction(1), 1 / sum(1 / c.p for c in inputs))
+        return cls(inputs, SeqClassSpec(tag, p_out))
+
+    @classmethod
     def stable_family(cls, family: SeqClassSpec, n: int) -> "IdealSpec":
         """The theorem-backed ideal spec for a stable class family.
 
         weak-1 and Rad transport into themselves; strong-p and Cohen-p
-        admit the tighter Hoelder output exponent max(1, p/n). Weak-p for
+        admit the tighter Hoelder output exponent of `holder`. Weak-p for
         p > 1 does not transport (see `growth_experiment`), nor has sup a theorem.
         """
         if family.tag == "rad" or (family.tag == "weak" and family.p == 1):
             return cls.uniform(family, n)
         if family.tag in ("strong", "cohen"):
-            p_out = max(Fraction(1), Fraction(family.p) / n)
-            return cls((family,) * n, SeqClassSpec(family.tag, p_out))
+            return cls.holder(family.tag, (family.p,) * n)
         raise ValueError(f"no stability theorem on file for class {family.describe()}")
 
     def describe(self) -> str:
@@ -120,18 +126,10 @@ def ideal_ratio(
     """
     if spec.arity != A.arity:
         raise ValueError(f"spec arity {spec.arity} does not match operator arity {A.arity}")
-    if len(seqs) != A.arity:
-        raise ValueError(f"expected {A.arity} sequences, got {len(seqs)}")
-    k = len(seqs[0])
-    if k < 1:
+    if seq_tuple_length(A, seqs) < 1:
         raise ValueError("sequences must have length k >= 1")
-    for s, sp in zip(seqs, A.domain):
-        if len(s) != k:
-            raise ValueError("sequences must share a common length")
-        if s.space.dim != sp.dim:
-            raise ValueError("sequence space does not match operator domain")
-        if not s.mat.any():  # every class norm vanishes exactly on the zero sequence
-            raise ValueError("input sequence of norm zero is excluded from ratios")
+    if not all(s.mat.any() for s in seqs):  # every class norm vanishes exactly on the zero sequence
+        raise ValueError("input sequence of norm zero is excluded from ratios")
     return float(_ratio(A, spec, [s.mat[None] for s in seqs], seed)[0])
 
 
@@ -255,8 +253,6 @@ def _row_norms(Z: np.ndarray) -> np.ndarray:
 class StabilityReport:
     """Outcome of randomized transport tests for one class family."""
 
-    family: str
-    arity: int
     trials: int
     violations: int
     max_ratio_over_ceiling: float
@@ -274,31 +270,25 @@ def _stability_trials(
     k_max: int,
     dims,
     exponents,
-    family_label: str,
 ) -> StabilityReport:
+    """Per trial: `spec_factory(rng)`, an operator, k <= `k_max` and sequences, against `op_norm`."""
     rng = np.random.default_rng(seed)
     violations, max_rel = 0, 0.0
     for t in range(trials):
         spec = spec_factory(rng)
-        domain = [random_space(rng, dims, exponents) for _ in range(arity)]
-        A = random_multiop(rng, domain, random_space(rng, dims, exponents))
+        A = random_operator(rng, arity, dims, exponents)
         k = int(rng.integers(1, k_max + 1))
-        seqs = [random_vecseq(rng, s, k) for s in domain]
+        seqs = [random_vecseq(rng, s, k) for s in A.domain]
         ratio = ideal_ratio(A, spec, seqs, seed=seed + t)
-        est = op_norm(A, seed=seed + t)
-        ceiling = est.bracket.upper
-        rel = ratio / ceiling if ceiling > 0 else math.inf
+        ceiling = op_norm(A, seed=seed + t).bracket.upper
         if ratio > ceiling * (1.0 + TRANSPORT_SLACK):
             # re-verify before flagging: reinforce the ceiling with more
             # restarts plus the per-index argument tuples of the sequences
             extra = [[s.mat[j] for s in seqs] for j in range(k)]
-            est = op_norm(A, seed=seed + t, restarts=64, starts=extra)
-            ceiling = est.bracket.upper
-            rel = ratio / ceiling if ceiling > 0 else math.inf
-            if ratio > ceiling * (1.0 + TRANSPORT_SLACK):
-                violations += 1
-        max_rel = max(max_rel, rel)
-    return StabilityReport(family_label, arity, trials, violations, max_rel)
+            ceiling = op_norm(A, seed=seed + t, restarts=64, starts=extra).bracket.upper
+            violations += ratio > ceiling * (1.0 + TRANSPORT_SLACK)
+        max_rel = max(max_rel, ratio / ceiling if ceiling > 0 else math.inf)
+    return StabilityReport(trials, violations, max_rel)
 
 
 def stability_report(
@@ -317,16 +307,7 @@ def stability_report(
     operator-norm ceiling by more than `TRANSPORT_SLACK` relative.
     """
     spec = IdealSpec.stable_family(spec_family, arity)
-    return _stability_trials(
-        lambda rng: spec,
-        arity,
-        trials,
-        seed,
-        k_max,
-        dims,
-        exponents,
-        family_label=spec_family.describe(),
-    )
+    return _stability_trials(lambda rng: spec, arity, trials, seed, k_max, dims, exponents)
 
 
 def cohen_holder_stability(
@@ -345,23 +326,9 @@ def cohen_holder_stability(
     choices = [Fraction(4, 3), Fraction(3, 2), 2, 3]
 
     def factory(rng: np.random.Generator) -> IdealSpec:
-        ps = [choices[rng.integers(len(choices))] for _ in range(arity)]
-        budget = sum(Fraction(1) / Fraction(p) for p in ps)
-        p_out = max(Fraction(1), 1 / budget)
-        return IdealSpec(
-            tuple(SeqClassSpec.cohen(p) for p in ps), SeqClassSpec.cohen(p_out)
-        )
+        return IdealSpec.holder("cohen", [choices[rng.integers(len(choices))] for _ in range(arity)])
 
-    return _stability_trials(
-        factory,
-        arity,
-        trials,
-        seed,
-        k_max,
-        dims,
-        (Fraction(3, 2), 2, 3, INF),
-        family_label="cohen[holder tuples]",
-    )
+    return _stability_trials(factory, arity, trials, seed, k_max, dims, (Fraction(3, 2), 2, 3, INF))
 
 
 def growth_experiment(p, n: int, k_list: Sequence[int]) -> list[tuple[int, float]]:
@@ -398,7 +365,15 @@ class LimitStabilityReport:
 
     limit_lower: float
     member_sup_upper: float
-    passed: bool
+
+    @property
+    def margin(self) -> float:
+        """limit_lower - member_sup_upper * (1 + TRANSPORT_SLACK), <= 0 exactly when the bound holds."""
+        return self.limit_lower - self.member_sup_upper * (1.0 + TRANSPORT_SLACK)
+
+    @property
+    def passed(self) -> bool:
+        return self.margin <= 0
 
 
 def limit_stability_experiment(
@@ -427,8 +402,7 @@ def limit_stability_experiment(
         est_m = ideal_norm(B, spec, k_max, restarts=restarts, seed=seed)
         lower_m = max(est_m.bracket.lower, ideal_ratio(B, spec, est.witness, seed=seed))
         sup_upper = max(sup_upper, lower_m * (1.0 + ASCENT_SLACK))
-    passed = est.bracket.lower <= sup_upper * (1.0 + TRANSPORT_SLACK)
-    return LimitStabilityReport(est.bracket.lower, sup_upper, passed)
+    return LimitStabilityReport(est.bracket.lower, sup_upper)
 
 
 def scalar_compatibility_excess(spec: IdealSpec, trials: int, seed: int = 0) -> float:

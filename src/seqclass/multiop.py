@@ -249,6 +249,19 @@ def diag_operator(n: int, k: int, q_in) -> MultiOp:
     return MultiOp((Space(k, q_in),) * n, Space(k, 1), t)
 
 
+def seq_tuple_length(A: MultiOp, seqs: Sequence[VecSeq]) -> int:
+    """Common length k of a tuple of sequences, one per slot of A and in its slot's dimension."""
+    if len(seqs) != A.arity:
+        raise ValueError(f"expected {A.arity} sequences, got {len(seqs)}")
+    k = len(seqs[0])
+    for s, sp in zip(seqs, A.domain):
+        if len(s) != k:
+            raise ValueError("sequences must share a common length")
+        if s.space.dim != sp.dim:
+            raise ValueError("sequence space does not match operator domain")
+    return k
+
+
 def decoupling_check(A: MultiOp, seqs: Sequence[VecSeq]) -> float:
     """Residual of the sign-decoupling identity.
 
@@ -258,14 +271,7 @@ def decoupling_check(A: MultiOp, seqs: Sequence[VecSeq]) -> float:
     Needs k (n-1) <= `_optim.SIGN_CUTOFF`.
     """
     n = A.arity
-    if len(seqs) != n:
-        raise ValueError(f"expected {n} sequences, got {len(seqs)}")
-    k = len(seqs[0])
-    for s, sp in zip(seqs, A.domain):
-        if len(s) != k:
-            raise ValueError("sequences must share a common length")
-        if s.space.dim != sp.dim:
-            raise ValueError("sequence space does not match operator domain")
+    k = seq_tuple_length(A, seqs)
     if k * (n - 1) > _optim.SIGN_CUTOFF:
         raise ValueError(
             f"enumeration budget exceeded: k*(n-1) = {k * (n - 1)} > {_optim.SIGN_CUTOFF}"

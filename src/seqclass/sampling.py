@@ -36,3 +36,9 @@ def random_vecseq(rng: np.random.Generator, space: Space, k: int) -> VecSeq:
 def random_multiop(rng: np.random.Generator, domain, codomain: Space) -> MultiOp:
     shape = tuple(s.dim for s in domain) + (codomain.dim,)
     return MultiOp(tuple(domain), codomain, rng.standard_normal(shape))
+
+
+def random_operator(rng: np.random.Generator, arity: int, dims: Dims, exponents) -> MultiOp:
+    """Random `arity`-linear operator: domain spaces in slot order, then codomain, then coefficients."""
+    domain = [random_space(rng, dims, exponents) for _ in range(arity)]
+    return random_multiop(rng, domain, random_space(rng, dims, exponents))

@@ -2,9 +2,11 @@
 
 Each suite expands a config into independent cases, runs them one after
 another in order, and returns a `SuiteReport` whose per-case records carry
-the numbers needed to recheck every verdict offline. Every pass/fail
-threshold is a constant: `_EXACT_TOL`, `TRANSPORT_SLACK`, `_BAND`,
-`_ATTAINMENT_FLOOR` and the literal gates in the builders. No config moves one.
+the numbers needed to recheck every verdict offline: each holds the number
+its verdict was read from (a worst margin or ratio) under a key that
+`_case_note` reads. Every pass/fail threshold is a constant: `_EXACT_TOL`,
+`TRANSPORT_SLACK`, `_BAND`, `_ATTAINMENT_FLOOR` and the literal gates in
+the builders. No config moves one.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import inspect
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import partial
 from typing import Callable, Sequence
@@ -38,7 +40,7 @@ from .multiop import (
     op_norm,
     scalar_multiplication,
 )
-from .sampling import random_multiop, random_space, random_vecseq
+from .sampling import random_multiop, random_operator, random_space, random_vecseq
 from .seqnorm import (
     SeqClassSpec,
     VecSeq,
@@ -301,6 +303,7 @@ def _suite_seqnorm_axioms(
     def truncation() -> dict:
         rng = np.random.default_rng([seed, 4])
         ok = True
+        worst = -math.inf
         for _ in range(third):
             spec = _CLASS_MENU[rng.integers(len(_CLASS_MENU))]
             space = random_space(rng, dims, exps)
@@ -308,13 +311,15 @@ def _suite_seqnorm_axioms(
             s = random_vecseq(rng, space, k)
             full = seq_norm(s, spec, seed=seed)
             for m in range(k + 1):
-                part = seq_norm(truncate(s, m), spec, seed=seed)
-                ok = ok and part.lower <= full.upper + _EXACT_TOL
-        return {"passed": ok, "trials": third}
+                gap = seq_norm(truncate(s, m), spec, seed=seed).lower - (full.upper + _EXACT_TOL)
+                worst = max(worst, gap)
+                ok = ok and gap <= 0
+        return {"passed": ok, "value": worst, "trials": third}
 
     def axioms() -> dict:
         rng = np.random.default_rng([seed, 5])
         ok = True
+        worst = -math.inf
         for _ in range(third):
             spec = _CLASS_MENU[rng.integers(len(_CLASS_MENU))]
             space = random_space(rng, dims, exps)
@@ -325,13 +330,15 @@ def _suite_seqnorm_axioms(
             na = seq_norm(a, spec, seed=seed)
             nca = seq_norm(VecSeq(space, c * a.mat), spec, seed=seed)
             if na.exact and nca.exact:
-                ok = ok and abs(nca.lower - c * na.lower) <= 1e-12 * max(1, c * na.lower)
+                homogeneity = abs(nca.lower - c * na.lower) - 1e-12 * max(1, c * na.lower)
             else:
-                ok = ok and nca.lower <= c * na.upper * (1 + _EXACT_TOL) + 1e-12
+                homogeneity = nca.lower - (c * na.upper * (1 + _EXACT_TOL) + 1e-12)
             nb = seq_norm(VecSeq(space, bmat), spec, seed=seed)
             nsum = seq_norm(VecSeq(space, a.mat + bmat), spec, seed=seed)
-            ok = ok and nsum.lower <= na.upper + nb.upper + _EXACT_TOL
-        return {"passed": ok, "trials": third}
+            gaps = (homogeneity, nsum.lower - (na.upper + nb.upper + _EXACT_TOL))
+            worst = max(worst, *gaps)
+            ok = ok and all(g <= 0 for g in gaps)
+        return {"passed": ok, "value": worst, "trials": third}
 
     return [
         ("unit-sequence", unit_sequence),
@@ -375,12 +382,7 @@ def _transport_cases(name: str, arities, seed: int, report: Callable) -> CaseLis
     def one_arity(n: int, i: int) -> Callable[[], dict]:
         def case() -> dict:
             rep = report(arity=n, seed=seed + i)
-            return {
-                "passed": rep.passed,
-                "trials": rep.trials,
-                "max_ratio_over_ceiling": rep.max_ratio_over_ceiling,
-                "violations": rep.violations,
-            }
+            return {"passed": rep.passed, **asdict(rep)}
 
         return case
 
@@ -401,8 +403,7 @@ def _suite_weak1_stability(
         worst = math.inf
         spec2 = IdealSpec.uniform(SeqClassSpec.weak(1), 2)
         for t in range(attainment_ops):
-            domain = [random_space(rng, dims, (1, 2, INF)) for _ in range(2)]
-            A = random_multiop(rng, domain, random_space(rng, dims, (1, 2, INF)))
+            A = random_operator(rng, 2, dims, (1, 2, INF))
             est = ideal_norm(A, spec2, attainment_k_max, restarts=4, seed=seed + t)
             lo = est.op_estimate.bracket.lower
             if lo > 0:
@@ -469,9 +470,8 @@ def _suite_decoupling(
             worst = 0.0
             for _ in range(share):
                 k = int(rng.integers(1, k_max + 1))
-                domain = [random_space(rng, dims, exps) for _ in range(n)]
-                A = random_multiop(rng, domain, random_space(rng, dims, exps))
-                seqs = [random_vecseq(rng, s, k) for s in domain]
+                A = random_operator(rng, n, dims, exps)
+                seqs = [random_vecseq(rng, s, k) for s in A.domain]
                 worst = max(worst, decoupling_check(A, seqs))
             return {"passed": worst <= 1e-10, "residual": worst, "trials": share}
 
@@ -502,14 +502,8 @@ def _suite_holder_identity(seed, trials=100, k_max=3, dims=(1, 2, 3)) -> CaseLis
         exps = (Fraction(3, 2), 2, 3)
         for t in range(trials):
             n = 2 if t % 2 == 0 else 3
-            ps = [exps[rng.integers(len(exps))] for _ in range(n)]
-            budget = sum(Fraction(1) / Fraction(p) for p in ps)
-            p_out = max(Fraction(1), 1 / budget)
-            spec = IdealSpec(
-                tuple(SeqClassSpec.strong(p) for p in ps), SeqClassSpec.strong(p_out)
-            )
-            domain = [random_space(rng, dims, exps) for _ in range(n)]
-            A = random_multiop(rng, domain, random_space(rng, dims, exps))
+            spec = IdealSpec.holder("strong", [exps[rng.integers(len(exps))] for _ in range(n)])
+            A = random_operator(rng, n, dims, exps)
             est = ideal_norm(A, spec, k_max, restarts=3, seed=seed + t)
             op = est.op_estimate.bracket
             if op.lower == 0:
@@ -531,24 +525,19 @@ def _suite_ideal_axioms(
 ) -> CaseList:
     exps = tuple(map(as_exponent, exponents))
     half = _share(trials, 2, "trials")
-    specs = [
-        IdealSpec.uniform(SeqClassSpec.weak(1), 2),
-        IdealSpec((SeqClassSpec.strong(2), SeqClassSpec.strong(2)), SeqClassSpec.strong(1)),
-    ]
+    specs = [IdealSpec.uniform(SeqClassSpec.weak(1), 2), IdealSpec.holder("strong", (2, 2))]
 
     def composition() -> dict:
         rng = np.random.default_rng([seed, 11])
         worst = -math.inf
         for t in range(half):
             spec = specs[t % 2]
-            domain = [random_space(rng, dims, exps) for _ in range(2)]
-            cod = random_space(rng, dims, exps)
-            A = random_multiop(rng, domain, cod)
+            A = random_operator(rng, 2, dims, exps)
             us = [
                 random_multiop(rng, [random_space(rng, dims, exps)], s)
-                for s in domain
+                for s in A.domain
             ]
-            v = random_multiop(rng, [cod], random_space(rng, dims, exps))
+            v = random_multiop(rng, [A.codomain], random_space(rng, dims, exps))
             C = compose(v, A, us)
             lhs = ideal_norm(C, spec, k_max, restarts=2, seed=seed + t).bracket.lower
             rhs = (
@@ -598,40 +587,33 @@ def _suite_limit_stability(
     half = _share(families, 2, "families")
     ms = (1, 10, 1000, 1_000_000)
 
-    def scaled() -> dict:
-        rng = np.random.default_rng([seed, 21])
-        spec = IdealSpec.uniform(SeqClassSpec.weak(1), 2)
-        bad = 0
-        for t in range(half):
-            domain = [random_space(rng, dims, exps) for _ in range(2)]
-            A = random_multiop(rng, domain, random_space(rng, dims, exps))
-            fam = [
-                MultiOp(A.domain, A.codomain, (1 - 1 / m) * A.coeffs) for m in ms
-            ]
-            rep = limit_stability_experiment(
-                fam, A, spec, k_max, seed=seed + t, restarts=restarts
-            )
-            bad += 0 if rep.passed else 1
-        return {"passed": bad == 0, "violations": bad, "families": half}
+    def limit_case(key: int, spec: IdealSpec, count: int, members: Callable) -> Callable[[], dict]:
+        def case() -> dict:
+            rng = np.random.default_rng([seed, key])
+            bad, worst = 0, -math.inf
+            for t in range(count):
+                A = random_operator(rng, 2, dims, exps)
+                rep = limit_stability_experiment(
+                    members(rng, A), A, spec, k_max, seed=seed + t, restarts=restarts
+                )
+                bad += 0 if rep.passed else 1
+                worst = max(worst, rep.margin)
+            return {"passed": bad == 0, "value": worst, "violations": bad, "families": count}
 
-    def perturbed() -> dict:
-        rng = np.random.default_rng([seed, 22])
-        spec = IdealSpec((SeqClassSpec.strong(2), SeqClassSpec.strong(2)), SeqClassSpec.strong(1))
-        bad = 0
-        for t in range(families - half):
-            domain = [random_space(rng, dims, exps) for _ in range(2)]
-            A = random_multiop(rng, domain, random_space(rng, dims, exps))
-            B = random_multiop(rng, domain, A.codomain)
-            fam = [
-                MultiOp(A.domain, A.codomain, A.coeffs + B.coeffs / m) for m in ms
-            ]
-            rep = limit_stability_experiment(
-                fam, A, spec, k_max, seed=seed + t, restarts=restarts
-            )
-            bad += 0 if rep.passed else 1
-        return {"passed": bad == 0, "violations": bad, "families": families - half}
+        return case
 
-    return [("scaled-families", scaled), ("perturbation-families", perturbed)]
+    def scaled(rng, A: MultiOp) -> list[MultiOp]:
+        return [MultiOp(A.domain, A.codomain, (1 - 1 / m) * A.coeffs) for m in ms]
+
+    def perturbed(rng, A: MultiOp) -> list[MultiOp]:
+        B = random_multiop(rng, A.domain, A.codomain)
+        return [MultiOp(A.domain, A.codomain, A.coeffs + B.coeffs / m) for m in ms]
+
+    weak1, strong = IdealSpec.uniform(SeqClassSpec.weak(1), 2), IdealSpec.holder("strong", (2, 2))
+    return [
+        ("scaled-families", limit_case(21, weak1, half, scaled)),
+        ("perturbation-families", limit_case(22, strong, families - half, perturbed)),
+    ]
 
 
 #: The suites, in `suite list` order; each builder's keyword parameters are its config.

@@ -13,7 +13,7 @@ from seqclass.cli import main
 from seqclass._jsonio import dumps, multiop_to_dict, parse_space
 from seqclass.multiop import diag_operator
 from seqclass.spaces import INF
-from seqclass.suites import SUITE_NAMES, _defaults, run_suite
+from seqclass.suites import SUITE_NAMES, _case_note, _defaults, run_suite
 
 
 def run_cli(args, capsys):
@@ -379,6 +379,30 @@ def test_case_records_recompute_verdict(tmp_path, capsys):
         pf = float(num) / float(den or 1)
         worst = max(abs(r - k ** (1 / pf)) for k, r in case["curve"])
         assert (worst <= 1e-6) == case["passed"]
+
+
+#: A config per suite small enough to run every suite in a few seconds.
+_TINY = {
+    "seqnorm-axioms": {"trials": 3, "k_max": 2, "dims": [1, 2]},
+    "linear-stability": {"trials": 1, "k_max": 2, "dims": [1, 2]},
+    "weak1-stability": {"trials": 2, "k_max": 3, "attainment_ops": 1, "attainment_k_max": 2},
+    "rad-stability": {"trials": 4, "k_max": 3},
+    "cohen-stability": {"trials": 1, "k_max": 2, "dims": [1, 2]},
+    "growth": {"curves": [{"p": "2", "n": 2, "k_list": [1, 4]}]},
+    "decoupling": {"trials": 8, "k_max": 3},
+    "holder-identity": {"trials": 1, "k_max": 2},
+    "ideal-axioms": {"trials": 2, "k_max": 2},
+    "limit-stability": {"families": 2, "k_max": 2, "restarts": 1},
+}
+
+
+@pytest.mark.parametrize("suite", SUITE_NAMES)
+def test_every_case_records_the_number_of_its_verdict(suite):
+    # `_case_note` names the first of its keys a record holds, "" if none
+    report = run_suite({"suite": suite, **_TINY[suite]})
+    notes = {c["name"]: _case_note(c).partition("=") for c in report.cases}
+    unread = [name for name, (key, _, x) in notes.items() if not key or not math.isfinite(float(x))]
+    assert unread == []
 
 
 def test_parse_space_literals():

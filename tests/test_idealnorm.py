@@ -2,12 +2,14 @@
 
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from seqclass.spaces import INF, Space, Vector
 from seqclass import idealnorm
+from seqclass.sampling import random_multiop, random_operator, random_space
 from seqclass.seqnorm import SeqClassSpec, VecSeq
 from seqclass.multiop import (
     MultiOp,
@@ -20,6 +22,7 @@ from seqclass.multiop import (
 from seqclass.idealnorm import (
     IdealSpec,
     _ratio,
+    _stability_trials,
     cohen_holder_stability,
     growth_experiment,
     ideal_norm,
@@ -302,6 +305,93 @@ def test_stable_family_specs():
     assert IdealSpec.stable_family(SeqClassSpec.weak(1), 2).output.p == 1
     with pytest.raises(ValueError):  # weak-p for p > 1 does not transport
         IdealSpec.stable_family(SeqClassSpec.weak(2), 2)
+
+
+@pytest.mark.parametrize(
+    "ps, p_out",
+    [
+        ((2, 2), 1),
+        ((Fraction(3, 2), 3), 1),
+        ((3, 3, 3), 1),
+        ((3, 3), Fraction(3, 2)),
+        ((2, 3), Fraction(6, 5)),
+    ],
+)
+def test_holder_spec_closed_forms(ps, p_out):
+    for tag in ("strong", "cohen"):
+        spec = IdealSpec.holder(tag, ps)
+        assert spec.inputs == tuple(SeqClassSpec(tag, p) for p in ps)
+        assert spec.output == SeqClassSpec(tag, p_out)
+
+
+def test_stable_family_is_the_holder_spec_max_1_p_over_n():
+    for tag in ("strong", "cohen"):
+        for p in (1, Fraction(4, 3), Fraction(3, 2), 2, 3):
+            for n in range(1, 5):
+                family = SeqClassSpec(tag, p)
+                old = IdealSpec((family,) * n, SeqClassSpec(tag, max(Fraction(1), Fraction(p) / n)))
+                assert IdealSpec.stable_family(family, n) == old, (tag, p, n)
+
+
+@pytest.mark.parametrize("arity, dims", [(1, 4), (2, (1, 2, 3)), (3, 2)])
+def test_random_operator_draws_domain_codomain_coefficients(arity, dims):
+    exps = (1, Fraction(3, 2), 2, INF)
+    rng, ref = np.random.default_rng(7), np.random.default_rng(7)
+    A = random_operator(rng, arity, dims, exps)
+    domain = [random_space(ref, dims, exps) for _ in range(arity)]
+    B = random_multiop(ref, domain, random_space(ref, dims, exps))
+    assert A.domain == B.domain and A.codomain == B.codomain
+    assert np.array_equal(A.coeffs, B.coeffs)
+    assert rng.random() == ref.random()
+
+
+def _low_first_ceiling(monkeypatch, reinforced_holds: bool) -> list:
+    """Make every first `op_norm` ceiling (no starts given) 0; record the reinforced calls.
+
+    The reinforced call returns the true estimate if `reinforced_holds`, else a zero ceiling too.
+    """
+    calls, lengths = [], []
+    true_op_norm, true_ratio = idealnorm.op_norm, idealnorm.ideal_ratio
+
+    def ratio(A, spec, seqs, seed=0):
+        lengths.append(len(seqs[0]))
+        return true_ratio(A, spec, seqs, seed=seed)
+
+    def fake_op_norm(A, seed=0, restarts=16, starts=()):
+        if not starts:
+            return SimpleNamespace(bracket=SimpleNamespace(upper=0.0))
+        calls.append((restarts, len(starts), lengths[-1], {len(s) for s in starts}, A.arity))
+        if reinforced_holds:
+            return true_op_norm(A, seed=seed, restarts=restarts, starts=starts)
+        return SimpleNamespace(bracket=SimpleNamespace(upper=0.0))
+
+    monkeypatch.setattr(idealnorm, "ideal_ratio", ratio)
+    monkeypatch.setattr(idealnorm, "op_norm", fake_op_norm)
+    return calls
+
+
+def _weak1_trials(trials):
+    spec = IdealSpec.stable_family(SeqClassSpec.weak(1), 2)
+    return _stability_trials(lambda rng: spec, 2, trials, 3, 4, 3, (1, 2, INF))
+
+
+def test_stability_trials_reverify_when_the_reinforced_ceiling_holds(monkeypatch):
+    calls = _low_first_ceiling(monkeypatch, reinforced_holds=True)
+    rep = _weak1_trials(6)
+    # every trial is re-verified, once, with 64 restarts and its k argument tuples as starts
+    assert len(calls) == 6
+    for restarts, n_starts, k, widths, arity in calls:
+        assert restarts == 64 and n_starts == k and widths == {arity}
+    assert rep.violations == 0 and rep.passed
+    assert 0.0 < rep.max_ratio_over_ceiling <= 1.0 + idealnorm.TRANSPORT_SLACK
+
+
+def test_stability_trials_count_a_violation_when_the_reinforced_ceiling_fails(monkeypatch):
+    calls = _low_first_ceiling(monkeypatch, reinforced_holds=False)
+    rep = _weak1_trials(6)
+    assert len(calls) == 6
+    assert rep.trials == 6 and rep.violations == 6 and not rep.passed
+    assert rep.max_ratio_over_ceiling == math.inf
 
 
 # --- the population climb ------------------------------------------------------

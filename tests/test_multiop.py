@@ -9,7 +9,8 @@ import pytest
 
 from seqclass._optim import ball_max
 from seqclass.spaces import INF, Space, Vector, lq_norm, norming_functional, vector_norm
-from seqclass.seqnorm import VecSeq
+from seqclass.seqnorm import SeqClassSpec, VecSeq
+from seqclass.idealnorm import IdealSpec, ideal_ratio
 from seqclass.multiop import (
     MultiOp,
     _contract_all_but,
@@ -473,6 +474,28 @@ def test_decoupling_budget_guard():
     seqs = [VecSeq(s, rng.standard_normal((11, 2))) for s in A.domain]
     with pytest.raises(ValueError):
         decoupling_check(A, seqs)
+
+
+_TUPLE_MISMATCHES = {
+    "count": ([(2, 2)], "expected 2 sequences, got 1"),
+    "length": ([(2, 2), (3, 3)], "sequences must share a common length"),
+    "dimension": ([(2, 2), (2, 2)], "sequence space does not match operator domain"),
+}
+
+
+@pytest.mark.parametrize("check", ["ideal_ratio", "decoupling_check"])
+@pytest.mark.parametrize("mismatch", sorted(_TUPLE_MISMATCHES))
+def test_sequence_tuple_mismatch_messages(check, mismatch):
+    # operator l_2^2 x l_3^3 -> l_2^2; each tuple is (k, dim) per given sequence
+    A = MultiOp((Space(2, 2), Space(3, 3)), Space(2, 2), np.ones((2, 3, 2)))
+    shapes, message = _TUPLE_MISMATCHES[mismatch]
+    seqs = [VecSeq(Space(d, 2), np.ones((k, d))) for k, d in shapes]
+    fn = {
+        "ideal_ratio": lambda: ideal_ratio(A, IdealSpec.uniform(SeqClassSpec.weak(1), 2), seqs),
+        "decoupling_check": lambda: decoupling_check(A, seqs),
+    }[check]
+    with pytest.raises(ValueError, match=message):
+        fn()
 
 
 def test_diag_operator_validation():
