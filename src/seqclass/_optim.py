@@ -1,9 +1,12 @@
 """Internal search primitives: sign enumeration, dual updates, ball maxima.
 
-`ball_max` is the one routine for max ||M x||_p over an l_q unit ball,
-the problem under the weak-p norm, the one-slot step of the operator-norm
-search and the Cohen dual rescaling; it is exact on the ball's vertices
-and at p = q = 2, and otherwise makes one `power_iterate` call, the one
+`ball_max` is the routine for max ||M x||_p over an l_q unit ball
+wherever a maximizer or a search is needed: the weak-p norm's branches
+other than its l_inf and weak-1 ones (which read the value alone through
+`seqnorm._weak_linf_value` and `seqnorm._weak_sign_oracle`), the
+one-slot step of the operator-norm search and the Cohen dual rescaling.
+It is exact on the ball's vertices and at p = q = 2 (`ball_method` names
+its branch), and otherwise makes one `power_iterate` call, the one
 dual-update loop, which advances every start as a row of one block. Both
 also take a stack of matrices, item by item, so the operator-norm search
 solves one slot for all its starts in one call. All routines are pure
@@ -52,6 +55,21 @@ def _signed_sums(S: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return S
 
 
+def sign_table(M: np.ndarray, fix_first: bool = False) -> np.ndarray:
+    """Every signed sum eps @ M as one (..., d, 2^free) table, column i holding pattern i.
+
+    The whole enumeration of `sign_patterns` in one doubling table, which
+    is its single block transposed when it has one; a consumer of a small
+    enumeration reads it directly.
+    """
+    M = np.asarray(M, dtype=float)
+    if fix_first and M.shape[-2]:
+        start = np.swapaxes(M[..., :1, :], -1, -2)
+        # copied: with no free sign the start column is the table
+        return _signed_sums(start if M.shape[-2] > 1 else start.copy(), M[..., 1:, :])
+    return _signed_sums(np.zeros(M.shape[:-2] + (M.shape[-1], 1)), M)
+
+
 def sign_patterns(M: np.ndarray, fix_first: bool = False, block: int = DEFAULT_BLOCK) -> Iterator[np.ndarray]:
     """Yield the signed sums eps @ M over eps in {-1,+1}^k, in (R, d) blocks.
 
@@ -72,15 +90,12 @@ def sign_patterns(M: np.ndarray, fix_first: bool = False, block: int = DEFAULT_B
     """
     M = np.asarray(M, dtype=float)
     k, d = M.shape[-2:]
-    zero = np.zeros(M.shape[:-2] + (d, 1))
-    first = 1 if fix_first and k else 0
-    lo = min(first + block.bit_length() - 1, k)
-    # copied: with no free low sign the start column is yielded as it is
-    low = _signed_sums(np.swapaxes(M[..., :1, :], -1, -2).copy() if first else zero, M[..., first:lo, :])
+    lo = min((1 if fix_first and k else 0) + block.bit_length() - 1, k)
+    low = sign_table(M[..., :lo, :], fix_first)
     if lo == k:
         yield np.swapaxes(low, -1, -2)  # a single block: the low table is the whole enumeration
         return
-    high = _signed_sums(zero, M[..., lo:, :])
+    high = _signed_sums(np.zeros(M.shape[:-2] + (d, 1)), M[..., lo:, :])
     for c in range(high.shape[-1]):
         yield np.swapaxes(low + high[..., c, None], -1, -2)
 
@@ -124,6 +139,20 @@ def power_iterate(M: np.ndarray, ball_q, p, X: np.ndarray, iters: int) -> tuple[
     return X, f
 
 
+def ball_method(d: int, ball_q, p) -> str:
+    """The branch `ball_max` takes for max ||M x||_p over the l_{ball_q}^d unit ball: its method name.
+
+    Every method but "power-iteration" is exact and reads no start.
+    """
+    if ball_q == 1:
+        return "l1-ball-vertices"
+    if ball_q == INF and d <= SIGN_CUTOFF:
+        return "linf-ball-vertices"
+    if ball_q == 2 and p == 2:
+        return "svd-spectral"
+    return "power-iteration"
+
+
 def ball_max(M: np.ndarray, ball_q, p, starts, iters: int = 200) -> tuple[float | np.ndarray, np.ndarray, str]:
     """max ||M x||_p over the unit ball of l_{ball_q}: (value, maximizer, method).
 
@@ -140,10 +169,11 @@ def ball_max(M: np.ndarray, ball_q, p, starts, iters: int = 200) -> tuple[float 
     exact branches, up to BLAS summation order on the power branch.
     """
     d = M.shape[-1]
-    if ball_q == 1:
+    method = ball_method(d, ball_q, p)
+    if method == "l1-ball-vertices":
         vals = lq_norm(M, p, axis=-2)  # ||M e_i||_p: the column norms
-        return vals.max(-1)[()], (np.arange(d) == vals.argmax(-1)[..., None]) * 1.0, "l1-ball-vertices"
-    if ball_q == INF and d <= SIGN_CUTOFF:
+        return vals.max(-1)[()], (np.arange(d) == vals.argmax(-1)[..., None]) * 1.0, method
+    if method == "linf-ball-vertices":
         best, idx = np.full(M.shape[:-2], -1.0), 0
         for b, sums in enumerate(sign_patterns(np.swapaxes(M, -1, -2), fix_first=True)):
             vals = lq_norm(sums, p, axis=-1)
@@ -152,10 +182,10 @@ def ball_max(M: np.ndarray, ball_q, p, starts, iters: int = 200) -> tuple[float 
             best = np.maximum(best, top)
         # eps_0 = +1 is pinned; bit j of the pattern index, bit j + 1 of 2 idx + 1, sets eps_{j+1}
         x = ((2 * idx + 1)[..., None] >> np.arange(d) & 1) * 2.0 - 1.0
-        return best[()], x, "linf-ball-vertices"
-    if ball_q == 2 and p == 2:
+        return best[()], x, method
+    if method == "svd-spectral":
         _, sig, vt = np.linalg.svd(M, full_matrices=False)
-        return sig[..., 0][()], vt[..., 0, :], "svd-spectral"
+        return sig[..., 0][()], vt[..., 0, :], method
     X, f = power_iterate(M, ball_q, p, starts(), iters)
     if not f.shape[-1]:
         return np.zeros(M.shape[:-2])[()], np.zeros(M.shape[:-2] + (d,)), "power-iteration"

@@ -10,7 +10,8 @@ maximizing the certified ratio (output lower / product of input uppers);
 the k = 1 slice recovers the operator norm. At each longer k a hill climb
 advances all its starts as one population: each step scores every
 candidate tuple with one block ratio, one `evaluate_batch` call and one
-`seq_norm_block` call per class. Stability and growth
+block-kernel call per class, whose dispatch is resolved once per length
+(`seqnorm.block_kernel`). Stability and growth
 experiments probe which classes transport through multilinear maps with
 constant equal to the operator norm, and at what rate the others fail.
 """
@@ -31,8 +32,8 @@ from .seqnorm import (
     NormBracket,
     SeqClassSpec,
     VecSeq,
+    block_kernel,
     seq_norm,
-    seq_norm_block,
 )
 from .spaces import INF, Space, as_exponent, conjugate_exponent
 
@@ -136,20 +137,35 @@ def ideal_ratio(
 def _ratio(A: MultiOp, spec: IdealSpec, mats: Sequence[np.ndarray], seed: int) -> np.ndarray:
     """Certified ratios of B tuples at once; mats[m] is a (B, k, d_m) stack, shapes unchecked.
 
-    One `evaluate_batch` call on all B k argument rows and one
-    `seq_norm_block` call per class. The ratio is 0 wherever an input
-    norm is 0. A ratio may differ in the last bit from the B = 1 call on
-    the same tuple (see `evaluate_batch`): at k = 1 a (B, 1, d) stack
-    differed from its B = 1 calls on 42-61% of rows, at k = 2 and 3 on
-    none. The hill climb scores no k = 1 stack.
+    `_ratio_map` for the stacks' shape, applied once: the dispatch of
+    every class is resolved on each call.
     """
     B, k = mats[0].shape[:2]
-    denom = np.ones(B)
-    for M, space, cls in zip(mats, A.domain, spec.inputs):
-        denom *= seq_norm_block(space, M, cls, seed)[1]
-    out = evaluate_batch(A, [M.reshape(B * k, -1) for M in mats]).reshape(B, k, -1)
-    lower = seq_norm_block(A.codomain, out, spec.output, seed)[0]
-    return np.divide(lower, denom, out=np.zeros(B), where=denom > 0.0)
+    return _ratio_map(A, spec, k, B, seed)(mats)
+
+
+def _ratio_map(A: MultiOp, spec: IdealSpec, k: int, B: int, seed: int):
+    """The map mats -> certified ratios of B tuples of length k, the dispatch of every class resolved.
+
+    Each class's `block_kernel` is fixed here, once per shape; a call
+    then makes one `evaluate_batch` call on all B k argument rows and one
+    kernel call per class. The ratio is 0 wherever an input norm is 0. A
+    ratio may differ in the last bit from the B = 1 call on the same
+    tuple (see `evaluate_batch`): at k = 1 a (B, 1, d) stack differed from
+    its B = 1 calls on 42-61% of rows, at k = 2 and 3 on none. The hill
+    climb scores no k = 1 stack.
+    """
+    inputs = [block_kernel(s, c, k, B, seed) for s, c in zip(A.domain, spec.inputs)]
+    output = block_kernel(A.codomain, spec.output, k, B, seed)
+
+    def ratio(mats: Sequence[np.ndarray]) -> np.ndarray:
+        denom = inputs[0](mats[0])[1]
+        for kernel, M in zip(inputs[1:], mats[1:]):
+            denom = denom * kernel(M)[1]
+        out = evaluate_batch(A, [M.reshape(B * k, -1) for M in mats]).reshape(B, k, -1)
+        return np.divide(output(out)[0], denom, out=np.zeros(B), where=denom > 0.0)
+
+    return ratio
 
 
 #: Hill-climb steps per start at each sequence length.
@@ -171,10 +187,13 @@ def ideal_norm(
     to length k, the coordinate sequences, the signed operator
     witness and `restarts` random draws. The starts advance as one
     population: every step moves each start along its own random
-    direction, scaled by its own step size, and one block ratio
-    (`_ratio`) scores all the candidates; a start keeps its candidate only
-    if the ratio rises. The ratio-by-k curve is reported as a running
-    maximum, which the pad-with-zeros argument justifies.
+    direction, scaled by its own step size, and one block ratio scores
+    all the candidates; a start keeps its candidate only if the ratio
+    rises. The ratio map (`_ratio_map`) is resolved once per k: each
+    class's branch, float exponents and enumeration budget are fixed
+    before the 41 scorings of that length. The ratio-by-k curve is
+    reported as a running maximum, which the pad-with-zeros argument
+    justifies.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
@@ -210,11 +229,12 @@ def ideal_norm(
         U = rng.standard_normal((len(Z), _CLIMB_STEPS, Z.shape[1]))
         n = _row_norms(U)
         U = U / np.where(n > 0.0, n, 1.0)[..., None]
-        f = _ratio(A, spec, _slots(Z, k, dims), seed)
+        ratio = _ratio_map(A, spec, k, len(Z), seed)
+        f = ratio(_slots(Z, k, dims))
         step = np.full(len(Z), 0.4)
         for t in range(_CLIMB_STEPS):
             cand = Z + (step * _row_norms(Z))[:, None] * U[:, t]
-            fc = _ratio(A, spec, _slots(cand, k, dims), seed)
+            fc = ratio(_slots(cand, k, dims))
             up = fc > f
             Z = np.where(up[:, None], cand, Z)
             f = np.where(up, fc, f)
@@ -236,8 +256,11 @@ def ideal_norm(
 
 def _slots(Z: np.ndarray, k: int, dims: Sequence[int]) -> list[np.ndarray]:
     """The (B, k, d_m) argument stacks of a (B, k sum_m d_m) block of flattened tuples."""
-    ends = np.cumsum([k * d for d in dims])
-    return [Z[:, e - k * d : e].reshape(len(Z), k, d) for e, d in zip(ends, dims)]
+    stacks, end = [], 0
+    for d in dims:
+        stacks.append(Z[:, end : end + k * d].reshape(len(Z), k, d))
+        end += k * d
+    return stacks
 
 
 def _row_norms(Z: np.ndarray) -> np.ndarray:

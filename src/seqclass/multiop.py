@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from . import _optim
-from ._optim import ball_max, sign_patterns
+from ._optim import ball_max, ball_method, sign_patterns
 from .spaces import Space, Vector, as_exponent, conjugate_exponent, lq_norm
 from .seqnorm import ASCENT_SLACK, NormBracket, VecSeq
 
@@ -150,8 +150,26 @@ def op_norm(
     stack of the live rows' slot matrices: exactly for l_1 slots, small
     l_inf slots and l_2 -> l_2 pairs, else by 20 dual updates from the
     row's argument. A row freezes at its first sweep that does not rise by
-    1e-12 relative; the first best row is the witness.
+    1e-12 relative; the first best row is the witness. A nonzero linear
+    map with an exact slot skips the walk: every row would solve the same
+    matrix, so one `ball_max` call gives the witness.
     """
+    q_out = A.codomain.q
+    q_in = A.domain[0].q
+    if A.arity == 1 and A.coeffs.any() and ball_method(A.domain[0].dim, q_in, q_out) != "power-iteration":
+        x = ball_max(np.ascontiguousarray(A.coeffs.T)[None], q_in, q_out, None)[1][0]
+        witness = (Vector(A.domain[0], x),)
+    else:
+        witness = _alternating_walk(A, seed, restarts, starts)
+    lower = lq_norm(evaluate(A, witness).coords, q_out)
+    upper = min(lower * (1.0 + ASCENT_SLACK), holder_coefficient_bound(A))
+    exact = upper - lower <= 1e-9 * max(1.0, upper)
+    bracket = NormBracket(lower, upper, exact, "alternating-maximization", seed)
+    return OpNormEstimate(bracket, witness)
+
+
+def _alternating_walk(A: MultiOp, seed: int, restarts: int, starts) -> tuple[Vector, ...]:
+    """The witness tuple of `op_norm`'s block walk: the first best row after the last sweep."""
     q_out = A.codomain.q
     dims = [s.dim for s in A.domain]
     peak = np.unravel_index(int(np.argmax(np.abs(A.coeffs))), A.coeffs.shape)
@@ -177,12 +195,7 @@ def op_norm(
             break
 
     best = int(np.argmax(f))  # the first best row
-    witness = tuple(Vector(s, x[best]) for s, x in zip(A.domain, X))
-    lower = lq_norm(evaluate(A, witness).coords, q_out)
-    upper = min(lower * (1.0 + ASCENT_SLACK), holder_coefficient_bound(A))
-    exact = upper - lower <= 1e-9 * max(1.0, upper)
-    bracket = NormBracket(lower, upper, exact, "alternating-maximization", seed)
-    return OpNormEstimate(bracket, witness)
+    return tuple(Vector(s, x[best]) for s, x in zip(A.domain, X))
 
 
 def finite_type(phis: Sequence[Vector], b: Vector) -> MultiOp:

@@ -6,7 +6,9 @@ whose lower end is witnessed by an explicit feasible point. Exact branches
 (closed forms, finite enumerations, SVD) collapse the bracket to a point.
 `seq_norm_block` brackets a (B, k, d) block of sequences at once: the
 exact branches that act row by row are written for a stack of matrices,
-and the one-sequence engines are their B = 1 case.
+and the one-sequence engines are their B = 1 case. `block_kernel`
+resolves its dispatch once for a block shape, for callers that bracket
+many blocks of one shape.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import _optim
-from ._optim import DEFAULT_BLOCK, ball_max, power_iterate, sign_patterns, unit_scaled
+from ._optim import DEFAULT_BLOCK, ball_max, power_iterate, sign_patterns, sign_table, unit_scaled
 from .spaces import INF, Space, as_exponent, conjugate_exponent, dual_witness, lq_norm
 
 __all__ = [
@@ -37,6 +39,7 @@ __all__ = [
     "truncate",
     "seq_norm",
     "seq_norm_block",
+    "block_kernel",
 ]
 
 #: Relative slack reported on heuristic (search-derived) upper ends.
@@ -240,6 +243,8 @@ def _weak_disjoint_value(X: np.ndarray, q, p: float) -> float:
 
 def _weak_sign_oracle(X: np.ndarray, q):
     X, e = unit_scaled(X)
+    if 1 << (X.shape[-2] - 1) <= DEFAULT_BLOCK:  # one block: the signed sums of one doubling table
+        return np.ldexp(lq_norm(sign_table(X, fix_first=True), q, axis=-2).max(-1), e)
     best = np.zeros(X.shape[:-2])
     for sums in sign_patterns(X, fix_first=True):
         best = np.fmax(best, lq_norm(sums, q, axis=-1).max(-1))
@@ -517,35 +522,65 @@ def seq_norm_block(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Brackets of a (B, k, d) block of sequences in one space: (lower, upper) arrays.
 
-    Entry i equals `seq_norm(VecSeq(space, S[i]), spec, seed)` bit for bit.
-    The exact branches that act row by row run on the whole block at once:
-    sup and strong-p on every item, and, on the items with k >= 2 and no
-    zero row, weak-p on l_inf spaces, weak-1 by sign enumeration (q < inf,
-    rows not disjoint) and Rad by enumeration, the two enumerations while
-    B 2^(k-1) <= `DEFAULT_BLOCK`. Every other item goes through `seq_norm`.
+    Entry i equals `seq_norm(VecSeq(space, S[i]), spec, seed)` bit for
+    bit. The dispatch is resolved on every call, by `block_kernel` for the
+    block's shape; a caller that brackets many blocks of one shape
+    resolves it once and applies the kernel itself.
     """
     S = np.asarray(S, dtype=float)
     B, k, d = S.shape
     if d != space.dim:
         raise ValueError(f"block shape {S.shape} does not match space dim {space.dim}")
+    return block_kernel(space, spec, k, B, seed)(S)
+
+
+def block_kernel(space: Space, spec: SeqClassSpec, k: int, B: int, seed: int = 0):
+    """The map S -> (lower, upper) of `seq_norm_block` on (B, k, d) blocks, its dispatch resolved.
+
+    The branch, the float exponents and the enumeration budget are fixed
+    here, once per shape. The exact branches that act row by row run on
+    the whole block at once: sup and strong-p on every item, and, on the
+    items with k >= 2 and no zero row, weak-p on l_inf spaces, weak-1 by
+    sign enumeration (q < inf, rows not disjoint) and Rad by enumeration,
+    the two enumerations while B 2^(k-1) <= `DEFAULT_BLOCK`. A block with
+    no zero entry is all such items, since at k >= 2 no two of its rows
+    have disjoint supports. A block whose items all take the kernel goes
+    to it as it is, and its lower and upper ends come back as one array.
+    Every other item goes through `seq_norm`. Shapes are not checked.
+    """
     q = float(space.q)
-    val = np.zeros(B)
-    fast = np.full(B, k >= 1 and spec.tag in ("sup", "strong"))
-    if fast.all():
-        val = _sup_value(S, q) if spec.tag == "sup" else _strong_value(S, q, float(spec.p))
+    kernel, every, overlap = None, False, False
+    if k >= 1 and spec.tag == "sup":
+        kernel, every = (lambda X: _sup_value(X, q)), True
+    elif k >= 1 and spec.tag == "strong":
+        p = float(spec.p)
+        kernel, every = (lambda X: _strong_value(X, q, p)), True
     elif k >= 2 and spec.tag in ("weak", "rad"):
-        full = S.any(axis=-1).all(axis=-1)  # the one-sequence engines drop zero rows
         enumerable = B << (k - 1) <= DEFAULT_BLOCK
         if spec.tag == "weak" and q == INF:
-            fast, kernel = full, lambda X: _weak_linf_value(X, float(spec.p))
+            p = float(spec.p)
+            kernel = lambda X: _weak_linf_value(X, p)
         elif spec.tag == "weak" and spec.p == 1 and enumerable:
-            fast, kernel = full & ~_rows_disjoint(S), lambda X: _weak_sign_oracle(X, q)
+            kernel, overlap = (lambda X: _weak_sign_oracle(X, q)), True
         elif spec.tag == "rad" and enumerable:
-            fast, kernel = full, lambda X: _rad_value(X, q)
-        if fast.any():
-            val[fast] = kernel(S[fast])
-    lower, upper = val.copy(), val
-    for i in (~fast).nonzero()[0]:
-        b = seq_norm(VecSeq(space, S[i]), spec, seed=seed)
-        lower[i], upper[i] = b.lower, b.upper
-    return lower, upper
+            kernel = lambda X: _rad_value(X, q)
+
+    def brackets(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        if kernel is not None and (every or S.all()):
+            val = kernel(S)
+            return val, val
+        fast = np.zeros(B, dtype=bool)
+        val = np.zeros(B)
+        if kernel is not None:
+            fast = S.any(axis=-1).all(axis=-1)  # the one-sequence engines drop zero rows
+            if overlap:
+                fast &= ~_rows_disjoint(S)
+            if fast.any():
+                val[fast] = kernel(S[fast])
+        lower, upper = val.copy(), val
+        for i in (~fast).nonzero()[0]:
+            b = seq_norm(VecSeq(space, S[i]), spec, seed=seed)
+            lower[i], upper[i] = b.lower, b.upper
+        return lower, upper
+
+    return brackets

@@ -34,7 +34,7 @@ from seqclass.idealnorm import (
     limit_stability_experiment,
     stability_report,
 )
-from seqclass.sampling import random_multiop, random_space, random_vecseq
+from seqclass.sampling import DEFAULT_EXPONENTS, random_multiop, random_operator, random_space, random_vecseq
 from seqclass.multiop import MultiOp, scalar_multiplication
 
 ENGINES = [
@@ -98,9 +98,8 @@ def test_criterion_3_decoupling_identity():
     for t in range(500):
         n = 2 if t % 2 == 0 else 3
         k = int(rng.integers(1, 7))
-        domain = [random_space(rng, dims=3) for _ in range(n)]
-        A = random_multiop(rng, domain, random_space(rng, dims=3))
-        seqs = [random_vecseq(rng, s, k) for s in domain]
+        A = random_operator(rng, n, 3, DEFAULT_EXPONENTS)
+        seqs = [random_vecseq(rng, s, k) for s in A.domain]
         worst = max(worst, decoupling_check(A, seqs))
     _report(3, "sign-decoupling identity residual", worst <= 1e-10,
             time.perf_counter() - t0, 30)
@@ -114,8 +113,7 @@ def test_criterion_4_weak1_stability():
     spec = IdealSpec.uniform(SeqClassSpec.weak(1), 2)
     attain = math.inf
     for t in range(12):
-        domain = [random_space(rng, dims=4, exponents=(1, 2, INF)) for _ in range(2)]
-        A = random_multiop(rng, domain, random_space(rng, dims=4, exponents=(1, 2, INF)))
+        A = random_operator(rng, 2, 4, (1, 2, INF))
         est = ideal_norm(A, spec, k_max=4, restarts=4, seed=46 + t)
         if est.op_estimate.bracket.lower > 0:
             attain = min(attain, est.bracket.lower / est.op_estimate.bracket.lower)
@@ -193,8 +191,7 @@ def test_criterion_8_holder_identity():
         ps = [exps[rng.integers(3)] for _ in range(n)]
         p_out = max(Fraction(1), 1 / sum(Fraction(1) / Fraction(p) for p in ps))
         spec = IdealSpec(tuple(SeqClassSpec.strong(p) for p in ps), SeqClassSpec.strong(p_out))
-        domain = [random_space(rng, dims=3) for _ in range(n)]
-        A = random_multiop(rng, domain, random_space(rng, dims=3))
+        A = random_operator(rng, n, 3, DEFAULT_EXPONENTS)
         est = ideal_norm(A, spec, k_max=3, restarts=3, seed=89 + t)
         op = est.op_estimate.bracket
         if op.lower == 0:
@@ -218,12 +215,10 @@ def test_criterion_9_ideal_axioms_and_limits():
     ok = True
     for t in range(100):
         spec = specs[t % 2]
-        domain = [random_space(rng, dims=3, exponents=(1, 2, INF)) for _ in range(2)]
-        cod = random_space(rng, dims=3, exponents=(1, 2, INF))
-        A = random_multiop(rng, domain, cod)
+        A = random_operator(rng, 2, 3, (1, 2, INF))
         us = [random_multiop(rng, [random_space(rng, dims=3, exponents=(1, 2, INF))], s)
-              for s in domain]
-        v = random_multiop(rng, [cod], random_space(rng, dims=3, exponents=(1, 2, INF)))
+              for s in A.domain]
+        v = random_multiop(rng, [A.codomain], random_space(rng, dims=3, exponents=(1, 2, INF)))
         C = compose(v, A, us)
         lhs = ideal_norm(C, spec, 2, restarts=2, seed=90 + t).bracket.lower
         rhs = (op_norm(v, seed=90 + t).bracket.upper
@@ -246,12 +241,11 @@ def test_criterion_9_ideal_axioms_and_limits():
     ms = (1, 10, 1000, 1_000_000)
     for t in range(50):
         spec = specs[t % 2]
-        domain = [random_space(rng, dims=2, exponents=(1, 2, INF)) for _ in range(2)]
-        A = random_multiop(rng, domain, random_space(rng, dims=2, exponents=(1, 2, INF)))
+        A = random_operator(rng, 2, 2, (1, 2, INF))
         if t % 2 == 0:
             fam = [MultiOp(A.domain, A.codomain, (1 - 1 / m) * A.coeffs) for m in ms]
         else:
-            B = random_multiop(rng, domain, A.codomain)
+            B = random_multiop(rng, A.domain, A.codomain)
             fam = [MultiOp(A.domain, A.codomain, A.coeffs + B.coeffs / m) for m in ms]
         rep = limit_stability_experiment(fam, A, spec, k_max=3, seed=92 + t, restarts=2)
         ok = ok and rep.passed

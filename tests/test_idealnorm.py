@@ -1,5 +1,6 @@
 """Tests for summing-norm estimation, stability suites, and growth laws."""
 
+import hashlib
 import math
 from fractions import Fraction
 from types import SimpleNamespace
@@ -238,7 +239,7 @@ def _engine_fault(*args, **kwargs):
 
 def test_stability_report_surfaces_engine_faults(monkeypatch):
     # no trial draws a zero sequence, so a ValueError from a ratio is a fault, not a skipped trial
-    monkeypatch.setattr(idealnorm, "seq_norm_block", _engine_fault)
+    monkeypatch.setattr(idealnorm, "block_kernel", _engine_fault)
     with pytest.raises(ValueError, match="engine fault"):
         stability_report(SeqClassSpec.weak(1), 2, 20, seed=1, k_max=3, dims=3)
 
@@ -510,3 +511,57 @@ def test_ideal_norm_homogeneous_at_extreme_scales():
             got = ideal_norm(MultiOp(A.domain, A.codomain, c * A.coeffs), spec, 3, restarts=2, seed=t)
             assert got.best_k == ref.best_k
             assert abs(got.bracket.lower - c * ref.bracket.lower) <= 1e-12 * c * ref.bracket.lower, (t, c)
+
+
+# eight operators over l_1, l_2 and l_inf slots, with the two spec kinds of
+# the benchmark's sweep (weak-1 throughout, Hoelder strong-p) at arities 2
+# and 3: (spec, slot (dim, q), codomain (dim, q))
+PINNED_CLIMBS = [
+    (IdealSpec.uniform(SeqClassSpec.weak(1), 2), ((3, 1), (2, 2)), (3, INF)),
+    (IdealSpec.uniform(SeqClassSpec.weak(1), 2), ((2, INF), (4, 2)), (2, 1)),
+    (IdealSpec.uniform(SeqClassSpec.weak(1), 3), ((2, 2), (2, INF), (3, 1)), (2, 2)),
+    (IdealSpec.uniform(SeqClassSpec.weak(1), 3), ((1, 1), (3, 2), (2, 2)), (4, INF)),
+    (IdealSpec.holder("strong", (Fraction(3, 2), 2)), ((2, INF), (3, 1)), (2, 2)),
+    (IdealSpec.holder("strong", (3, 3)), ((4, 2), (2, 2)), (3, 1)),
+    (IdealSpec.holder("strong", (2, 3, Fraction(3, 2))), ((2, 1), (2, INF), (2, 2)), (3, INF)),
+    (IdealSpec.holder("strong", (3, 3, 3)), ((3, 2), (1, 2), (2, 1)), (2, 2)),
+]
+
+# per operator, at its spec and then with sup inputs (where k = 3 wins, so the
+# climb's own maximum is the result): bracket ends, best_k, ratio_by_k, the
+# first 32 hex digits of the SHA-256 of the witness bytes and the op_norm
+# lower end, floats as float.hex
+PINNED_RESULTS = [
+    ('0x1.1ef3212120b2bp+1', '0x1.1f3c96aaa202bp+1', 1, ['0x1.1ef3212120b2bp+1', '0x1.1ef3212120b2bp+1', '0x1.1ef3212120b2bp+1'], '855cdb5832c0aeeb527021029a35ad2f', '0x1.1ef3212120b2ap+1'),
+    ('0x1.ae6cb1b1b10c0p+2', '0x1.aedae1fff3040p+2', 3, ['0x1.1ef3212120b2bp+1', '0x1.1ef3212120b2bp+2', '0x1.ae6cb1b1b10c0p+2'], 'd038d761fef87db21e0156daffdf2efc', '0x1.1ef3212120b2ap+1'),
+    ('0x1.e8c4eff775b53p+1', '0x1.e9420ff35af20p+1', 1, ['0x1.e8c4eff775b53p+1', '0x1.e8c4eff775b53p+1', '0x1.e8c4eff775b53p+1'], '95afff5987567248afaa0b2497a5da6c', '0x1.e8c4eff775b52p+1'),
+    ('0x1.6e93b3f99847ep+3', '0x1.6ef18bf684358p+3', 3, ['0x1.e8c4eff775b53p+1', '0x1.e8c4eff775b53p+2', '0x1.6e93b3f99847ep+3'], 'e90693c745a6e63cb5377eebf90c11b4', '0x1.e8c4eff775b52p+1'),
+    ('0x1.3bd81fbcb2afbp+2', '0x1.3c28fae7a3814p+2', 1, ['0x1.3bd81fbcb2afbp+2', '0x1.3bd81fbcb2afbp+2', '0x1.3bd81fbcb2afbp+2'], '0e5f85d529a00a5afed1e141426c660f', '0x1.3bd81fbcb2afbp+2'),
+    ('0x1.d9c42f9b0c078p+3', '0x1.da3d785b7541dp+3', 3, ['0x1.3bd81fbcb2afbp+2', '0x1.3bd81fbcb2afbp+3', '0x1.d9c42f9b0c078p+3'], 'ae96b2ed176def2aa73ee664186548a2', '0x1.3bd81fbcb2afbp+2'),
+    ('0x1.3d5f48011f533p+1', '0x1.3db0874ef28e6p+1', 1, ['0x1.3d5f48011f533p+1', '0x1.3d5f48011f533p+1', '0x1.3d5f48011f533p+1'], 'aee9f8c44e80a8e929476128b7e0477a', '0x1.3d5f48011f533p+1'),
+    ('0x1.dc0eec01aefccp+2', '0x1.dc88caf66bd58p+2', 3, ['0x1.3d5f48011f533p+1', '0x1.3d5f48011f533p+2', '0x1.dc0eec01aefccp+2'], 'f02f59879ac18f9e60dc399dc69442d5', '0x1.3d5f48011f533p+1'),
+    ('0x1.4f21d2c90a3ecp+1', '0x1.4f779e010c8f2p+1', 1, ['0x1.4f21d2c90a3ecp+1', '0x1.4f21d2c90a3ecp+1', '0x1.4f21d2c90a3ecp+1'], 'bbd54255bad74a82e2df29eea3592268', '0x1.4f21d2c90a3ecp+1'),
+    ('0x1.f6b2bc2d8f5e2p+2', '0x1.f7336d0192d6cp+2', 3, ['0x1.4f21d2c90a3ecp+1', '0x1.4f21d2c90a3ecp+2', '0x1.f6b2bc2d8f5e2p+2'], '24bb0ff35ce6c0165c6b1df0d3fbb8e8', '0x1.4f21d2c90a3ecp+1'),
+    ('0x1.f53df1aa74d2ep+1', '0x1.f5be430f3c1bcp+1', 1, ['0x1.f53df1aa74d2ep+1', '0x1.f53df1aa74d2ep+1', '0x1.f53df1aa74d2ep+1'], '7540483e5b67f24785c1fe20d274c9fc', '0x1.f53df1aa74d2dp+1'),
+    ('0x1.04a8051720fb6p+3', '0x1.04eabf76a3d4bp+3', 3, ['0x1.f53df1aa74d2ep+1', '0x1.8dd60507e5216p+2', '0x1.04a8051720fb6p+3'], '3137b5cae8fa488f7b378bfdecb5234b', '0x1.f53df1aa74d2dp+1'),
+    ('0x1.355f67875c4d5p+1', '0x1.35ae9a9387257p+1', 1, ['0x1.355f67875c4d5p+1', '0x1.355f67875c4d5p+1', '0x1.355f67875c4d5p+1'], 'cad089400a5504b2c0fb1dccd8a40829', '0x1.355f67875c4d4p+1'),
+    ('0x1.d00f1b4b0a740p+2', '0x1.d085e7dd4ab82p+2', 3, ['0x1.355f67875c4d5p+1', '0x1.355f67875c4d5p+2', '0x1.d00f1b4b0a740p+2'], '602e00014d21948410fc1cfb5bf8f7d5', '0x1.355f67875c4d4p+1'),
+    ('0x1.26700b698b1c1p+1', '0x1.26bb6bae003d9p+1', 1, ['0x1.26700b698b1c1p+1', '0x1.26700b698b1c1p+1', '0x1.26700b698b1c1p+1'], '7c2fd921abbf0774c85ab008b668b52c', '0x1.26700b698b1c3p+1'),
+    ('0x1.b9a8111e50aa1p+2', '0x1.ba192185005c6p+2', 3, ['0x1.26700b698b1c1p+1', '0x1.26700b698b1c1p+2', '0x1.b9a8111e50aa1p+2'], '709ae4b8fb829d34e83ff76049cf6b5a', '0x1.26700b698b1c3p+1'),
+]
+
+
+@pytest.mark.parametrize("i", range(len(PINNED_CLIMBS)))
+def test_ideal_norm_pinned_end_to_end(i):
+    spec, slots, (m, r) = PINNED_CLIMBS[i]
+    domain = tuple(Space(d, q) for d, q in slots)
+    coeffs = np.random.default_rng([1602, i]).standard_normal(tuple(d for d, _ in slots) + (m,))
+    A = MultiOp(domain, Space(m, r), coeffs)
+    sup_inputs = IdealSpec((SeqClassSpec.sup(),) * len(slots), spec.output)
+    for j, sp in enumerate((spec, sup_inputs)):
+        est = ideal_norm(A, sp, 3, restarts=3, seed=i)
+        wit = hashlib.sha256(b"".join(w.mat.tobytes() for w in est.witness)).hexdigest()[:32]
+        got = (est.bracket.lower.hex(), est.bracket.upper.hex(), est.best_k,
+               [r.hex() for _, r in est.ratio_by_k], wit, est.op_estimate.bracket.lower.hex())
+        assert got == PINNED_RESULTS[2 * i + j], (i, sp.describe())
+        assert [k for k, _ in est.ratio_by_k] == [1, 2, 3]

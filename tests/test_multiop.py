@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from seqclass import multiop
 from seqclass._optim import ball_max
 from seqclass.spaces import INF, Space, Vector, lq_norm, norming_functional, vector_norm
 from seqclass.seqnorm import SeqClassSpec, VecSeq
@@ -440,6 +441,33 @@ def test_op_norm_block_walk_matches_per_start_loop(menu):
         want = op_norm_per_start(A, **kw)
         got = op_norm(A, **kw).bracket.lower
         assert abs(got - want) <= 1e-12 * want, (t, got, want)
+
+
+# linear maps with an exact slot (l_1, small l_inf, l_2 -> l_2) and the
+# (lower, upper, exact, witness) that the block walk gave them, as float.hex
+EXACT_SLOT_MAPS = [((3, 1), (2, 3)), ((4, INF), (3, Fraction(3, 2))), ((3, 2), (3, 2)),
+                   ((2, INF), (4, 1)), ((4, 1), (2, INF)), ((4, 2), (2, 2))]
+EXACT_SLOT_BRACKETS = [
+    ('0x1.2b7d68f8c260ap+1', '0x1.2bca1457374ecp+1', False, ['0x1.0000000000000p+0', '0x0.0p+0', '0x0.0p+0']),
+    ('0x1.cf350135af2ebp+2', '0x1.cfab95f268f51p+2', False, ['0x1.0000000000000p+0', '0x1.0000000000000p+0', '0x1.0000000000000p+0', '0x1.0000000000000p+0']),
+    ('0x1.47c5cceb5c56ep+0', '0x1.4819b5d40b479p+0', False, ['0x1.2cbd7fa5ec6d6p-1', '-0x1.0607cf7df31f7p-3', '0x1.9927c236495e2p-1']),
+    ('0x1.8d82f69f06a69p+2', '0x1.8d82f69f06a69p+2', True, ['0x1.0000000000000p+0', '0x1.0000000000000p+0']),
+    ('0x1.35d0d25f084cap+0', '0x1.35d0d25f084cap+0', True, ['0x1.0000000000000p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0']),
+    ('0x1.49b8a9bc82191p+1', '0x1.4a0d125aa6116p+1', False, ['0x1.78f38d39af0c3p-4', '-0x1.7e626c5583173p-1', '0x1.aa12706b3816dp-3', '0x1.3fefef68b9d70p-1']),
+]
+
+
+def test_op_norm_exact_linear_slot_is_one_ball_max_call(monkeypatch):
+    calls = []
+    monkeypatch.setattr(multiop, "ball_max", lambda *a, **kw: calls.append(a[0].shape) or ball_max(*a, **kw))
+    for i, ((d, q), (m, r)) in enumerate(EXACT_SLOT_MAPS):
+        A = MultiOp((Space(d, q),), Space(m, r), np.random.default_rng([1601, i]).standard_normal((d, m)))
+        calls.clear()
+        est = op_norm(A, seed=i)
+        assert calls == [(1, m, d)]
+        b = est.bracket
+        got = (b.lower.hex(), b.upper.hex(), b.exact, [x.hex() for x in est.witness[0].coords])
+        assert got == EXACT_SLOT_BRACKETS[i], i
 
 
 def test_op_norm_contractions_match_tensordot():

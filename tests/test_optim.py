@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from seqclass import _optim
-from seqclass._optim import ball_max, power_iterate, sign_patterns, unit_scaled
+from seqclass._optim import ball_max, power_iterate, sign_patterns, sign_table, unit_scaled
 from seqclass.spaces import INF, lq_norm
 
 
@@ -61,6 +61,17 @@ def test_sign_patterns_on_a_stack_match_each_matrix():
                 for s, a in zip(stacked, alone):
                     assert s.shape == (5,) + a.shape
                     assert np.array_equal(s[i], a)
+
+
+def test_sign_table_is_the_one_block_of_sign_patterns():
+    rng = np.random.default_rng(55)
+    for shape in ((0, 3), (1, 3), (2, 1), (5, 3), (4, 0, 2), (4, 1, 2), (3, 6, 2)):
+        M = rng.standard_normal(shape)
+        for fix_first in (False, True):
+            (block,) = sign_patterns(M, fix_first)
+            table = sign_table(M, fix_first)
+            assert np.array_equal(np.swapaxes(table, -1, -2), block), (shape, fix_first)
+            assert not np.shares_memory(table, M)
 
 
 def test_unit_scaled_on_a_stack_matches_each_matrix():

@@ -708,6 +708,25 @@ def test_seq_norm_block_matches_seq_norm_bit_for_bit(spec):
         for k, d in ((1, 3), (2, 1), (2, 3), (3, 2), (4, 4)):
             _assert_block_matches(Space(d, q), _block_cases(rng, k, d), spec)
         _assert_block_matches(Space(2, q), np.zeros((3, 0, 2)), spec)
+        # the dense blocks the hill climb sends: with no zero entry a block goes to its kernel whole
+        for k, d in ((2, 1), (2, 3), (3, 2), (3, 4)):
+            _assert_block_matches(Space(d, q), rng.standard_normal((6, k, d)), spec)
+    # B 2^(k-1) at DEFAULT_BLOCK (a one-block enumeration at k = 16) and past it
+    # (B = 3 and k = 15, and a two-block enumeration at k = 17, item by item)
+    for B, k in ((2, 15), (3, 15), (1, 16), (1, 17)):
+        for q in [1, 2, INF]:
+            _assert_block_matches(Space(2, q), rng.standard_normal((B, k, 2)), spec)
+
+
+def test_weak_sign_oracle_reads_a_one_block_table_as_the_loop_would():
+    rng = np.random.default_rng(64)
+    for shape in ((2, 3), (3, 2), (6, 3, 2), (16, 3), (2, 15, 2)):
+        X = rng.standard_normal(shape)
+        for q in (1, 1.5, 2.0, 3):
+            Y, e = _optim.unit_scaled(X)
+            (sums,) = _optim.sign_patterns(Y, fix_first=True)  # one block
+            want = np.ldexp(lq_norm(sums, q, axis=-1).max(-1), e)
+            assert np.array_equal(seqnorm._weak_sign_oracle(X, q), want), (shape, q)
 
 
 def test_seq_norm_block_fallback_items_bit_for_bit():

@@ -1,0 +1,158 @@
+"""Time the layers under the summing-norm climb, one small fixed input each.
+
+    python3 tools/layer_times.py [OUT.json]
+
+Times, with `timeit` and BLAS on one thread:
+
+* `idealnorm._ratio` for each spec kind of the benchmark's `ideal-sweep`
+  workload (weak-1 throughout, Hoelder strong-p), arity 2 and 3,
+  k = 1, 2, 3, at B = 6 and B = 1 tuples, and `ideal_ratio` on one tuple;
+* `seqnorm.seq_norm_block` on a (6, 3, 3) block for each of its branches;
+* one `ideal_norm` k-step, as the difference of the medians at k_max and
+  k_max - 1 (restarts 3, as in `ideal-sweep`);
+* `op_norm` on linear maps, with exact slots and with a searched one.
+
+Each layer is timed in 21 repeats of a loop sized to about 10 ms, and
+reported per call as the median and the quartiles, in microseconds. Only
+functions with the same signature on every commit since the block
+ratio are called, so the tool can be copied into an older checkout and
+run there. It imports the library from the `src/` beside it.
+"""
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import json  # noqa: E402
+import statistics  # noqa: E402
+import sys  # noqa: E402
+import timeit  # noqa: E402
+from fractions import Fraction  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src")]
+sys.dont_write_bytecode = True
+
+import numpy as np  # noqa: E402
+
+from seqclass import idealnorm, seqnorm  # noqa: E402
+from seqclass.idealnorm import IdealSpec, ideal_norm, ideal_ratio  # noqa: E402
+from seqclass.multiop import MultiOp, op_norm  # noqa: E402
+from seqclass.seqnorm import SeqClassSpec, VecSeq  # noqa: E402
+from seqclass.spaces import INF, Space  # noqa: E402
+
+REPEATS = 21
+TARGET_S = 0.01
+
+#: Slot spaces of the timed operators (an arity-n operator takes the first n) and their codomain.
+SLOTS = (Space(3, 2), Space(3, 1), Space(3, INF))
+CODOMAIN = Space(3, 2)
+
+
+def per_call_us(fn) -> dict:
+    """Median and quartiles of the per-call time of fn() in microseconds."""
+    timer = timeit.Timer(fn)
+    t1 = min(timer.repeat(repeat=3, number=1))
+    number = max(1, int(TARGET_S / max(t1, 1e-7)))
+    runs = [t / number * 1e6 for t in timer.repeat(repeat=REPEATS, number=number)]
+    q1, med, q3 = statistics.quantiles(runs, n=4)
+    return {"median_us": round(med, 2), "q1_us": round(q1, 2), "q3_us": round(q3, 2), "calls": number}
+
+
+def specs(n: int) -> dict[str, IdealSpec]:
+    return {
+        "weak-1": IdealSpec.uniform(SeqClassSpec.weak(1), n),
+        "holder-strong": IdealSpec.holder("strong", (Fraction(3, 2), 2, 3)[:n]),
+    }
+
+
+def operator(n: int) -> MultiOp:
+    rng = np.random.default_rng([16, n])
+    return MultiOp(SLOTS[:n], CODOMAIN, rng.standard_normal((3,) * n + (CODOMAIN.dim,)))
+
+
+def ratio_layers() -> dict:
+    out = {}
+    for n in (2, 3):
+        A = operator(n)
+        for kind, spec in specs(n).items():
+            for k in (1, 2, 3):
+                for B in (6, 1):
+                    rng = np.random.default_rng([16, n, k, B])
+                    mats = [rng.standard_normal((B, k, s.dim)) for s in A.domain]
+                    out[f"_ratio {kind} n={n} k={k} B={B}"] = per_call_us(
+                        lambda: idealnorm._ratio(A, spec, mats, 0))
+    A, spec = operator(2), specs(2)["weak-1"]
+    rng = np.random.default_rng(17)
+    seqs = [VecSeq(s, rng.standard_normal((3, s.dim))) for s in A.domain]
+    out["ideal_ratio weak-1 n=2 k=3"] = per_call_us(lambda: ideal_ratio(A, spec, seqs))
+    return out
+
+
+def block_layers() -> dict:
+    rng = np.random.default_rng(18)
+    S = rng.standard_normal((6, 3, 3))
+    Z = S.copy()
+    Z[2, 1] = 0.0  # one item with a zero row leaves the block
+    cases = {
+        "sup": (Space(3, 2), S, SeqClassSpec.sup()),
+        "strong-p": (Space(3, 2), S, SeqClassSpec.strong(Fraction(3, 2))),
+        "weak-p l_inf": (Space(3, INF), S, SeqClassSpec.weak(Fraction(3, 2))),
+        "weak-1 sign-enumeration": (Space(3, 2), S, SeqClassSpec.weak(1)),
+        "rad-enumeration": (Space(3, 2), S, SeqClassSpec.rad()),
+        "weak-1 one zero row": (Space(3, 2), Z, SeqClassSpec.weak(1)),
+        "weak-p item by item": (Space(3, 2), S, SeqClassSpec.weak(Fraction(3, 2))),
+    }
+    return {
+        f"seq_norm_block {name}": per_call_us(lambda: seqnorm.seq_norm_block(space, X, spec))
+        for name, (space, X, spec) in cases.items()
+    }
+
+
+def climb_layers() -> dict:
+    out = {}
+    for n in (2, 3):
+        A = operator(n)
+        for kind, spec in specs(n).items():
+            t = {k: per_call_us(lambda: ideal_norm(A, spec, k, restarts=3, seed=1)) for k in (1, 2, 3)}
+            for k in (1, 2, 3):
+                out[f"ideal_norm {kind} n={n} k_max={k}"] = t[k]
+            for k in (2, 3):
+                out[f"ideal_norm k-step {kind} n={n} k={k}"] = {
+                    "median_us": round(t[k]["median_us"] - t[k - 1]["median_us"], 2)}
+    return out
+
+
+def op_norm_layers() -> dict:
+    maps = {
+        "l2^3 -> l2^3 (svd-spectral)": (Space(3, 2), Space(3, 2)),
+        "linf^3 -> l3^3 (linf-ball-vertices)": (Space(3, INF), Space(3, 3)),
+        "l1^3 -> l3/2^2 (l1-ball-vertices)": (Space(3, 1), Space(2, Fraction(3, 2))),
+        "l2^3 -> l3^3 (power-iteration)": (Space(3, 2), Space(3, 3)),
+    }
+    out = {}
+    for i, (name, (dom, cod)) in enumerate(maps.items()):
+        A = MultiOp((dom,), cod, np.random.default_rng([19, i]).standard_normal((dom.dim, cod.dim)))
+        out[f"op_norm {name}"] = per_call_us(lambda: op_norm(A, seed=1))
+    return out
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) > 1:
+        print("usage: python3 tools/layer_times.py [OUT.json]", file=sys.stderr)
+        return 2
+    layers = {}
+    for group in (ratio_layers, block_layers, climb_layers, op_norm_layers):
+        for name, t in group().items():
+            layers[name] = t
+            spread = f"  [{t['q1_us']:.1f}, {t['q3_us']:.1f}]" if "q1_us" in t else ""
+            print(f"{name:48s} {t['median_us']:10.1f} us{spread}", flush=True)
+    if argv:
+        Path(argv[0]).write_text(json.dumps(layers, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
