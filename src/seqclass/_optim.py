@@ -44,30 +44,25 @@ def unit_scaled(X: np.ndarray):
     return np.ldexp(X, -e[:, None, None]), e
 
 
-def _signed_sums(S: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """(..., d, 2^r) table whose column i is S + sum_j (+-1) rows[..., j, :], bit j of i giving the sign.
-
-    `S` is a (..., d, 1) column and `rows` is (..., r, d).
-    """
-    for j in range(rows.shape[-2]):
-        m = rows[..., j, :, None]
-        S = np.concatenate([S - m, S + m], axis=-1)
-    return S
-
-
 def sign_table(M: np.ndarray, fix_first: bool = False) -> np.ndarray:
     """Every signed sum eps @ M as one (..., d, 2^free) table, column i holding pattern i.
 
     The whole enumeration of `sign_patterns` in one doubling table, which
     is its single block transposed when it has one; a consumer of a small
-    enumeration reads it directly.
+    enumeration reads it directly. Each free row doubles the table: bit j
+    of the column index sets the sign of free row j.
     """
     M = np.asarray(M, dtype=float)
     if fix_first and M.shape[-2]:
-        start = np.swapaxes(M[..., :1, :], -1, -2)
-        # copied: with no free sign the start column is the table
-        return _signed_sums(start if M.shape[-2] > 1 else start.copy(), M[..., 1:, :])
-    return _signed_sums(np.zeros(M.shape[:-2] + (M.shape[-1], 1)), M)
+        S, M = np.swapaxes(M[..., :1, :], -1, -2), M[..., 1:, :]
+        if not M.shape[-2]:
+            S = S.copy()  # with no free sign the start column is the table
+    else:
+        S = np.zeros(M.shape[:-2] + (M.shape[-1], 1))
+    for j in range(M.shape[-2]):
+        m = M[..., j, :, None]
+        S = np.concatenate([S - m, S + m], axis=-1)
+    return S
 
 
 def sign_patterns(M: np.ndarray, fix_first: bool = False, block: int = DEFAULT_BLOCK) -> Iterator[np.ndarray]:
@@ -89,13 +84,13 @@ def sign_patterns(M: np.ndarray, fix_first: bool = False, block: int = DEFAULT_B
     along contiguous memory.
     """
     M = np.asarray(M, dtype=float)
-    k, d = M.shape[-2:]
+    k = M.shape[-2]
     lo = min((1 if fix_first and k else 0) + block.bit_length() - 1, k)
     low = sign_table(M[..., :lo, :], fix_first)
     if lo == k:
         yield np.swapaxes(low, -1, -2)  # a single block: the low table is the whole enumeration
         return
-    high = _signed_sums(np.zeros(M.shape[:-2] + (d, 1)), M[..., lo:, :])
+    high = sign_table(M[..., lo:, :])
     for c in range(high.shape[-1]):
         yield np.swapaxes(low + high[..., c, None], -1, -2)
 

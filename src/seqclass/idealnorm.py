@@ -27,14 +27,7 @@ import numpy as np
 
 from .multiop import MultiOp, OpNormEstimate, diag_operator, evaluate_batch, op_norm, seq_tuple_length
 from .sampling import DEFAULT_EXPONENTS, random_operator, random_vecseq
-from .seqnorm import (
-    ASCENT_SLACK,
-    NormBracket,
-    SeqClassSpec,
-    VecSeq,
-    block_kernel,
-    seq_norm,
-)
+from .seqnorm import NormBracket, SeqClassSpec, VecSeq, block_kernel, seq_norm
 from .spaces import INF, Space, as_exponent, conjugate_exponent
 
 __all__ = [
@@ -131,29 +124,20 @@ def ideal_ratio(
         raise ValueError("sequences must have length k >= 1")
     if not all(s.mat.any() for s in seqs):  # every class norm vanishes exactly on the zero sequence
         raise ValueError("input sequence of norm zero is excluded from ratios")
-    return float(_ratio(A, spec, [s.mat[None] for s in seqs], seed)[0])
-
-
-def _ratio(A: MultiOp, spec: IdealSpec, mats: Sequence[np.ndarray], seed: int) -> np.ndarray:
-    """Certified ratios of B tuples at once; mats[m] is a (B, k, d_m) stack, shapes unchecked.
-
-    `_ratio_map` for the stacks' shape, applied once: the dispatch of
-    every class is resolved on each call.
-    """
-    B, k = mats[0].shape[:2]
-    return _ratio_map(A, spec, k, B, seed)(mats)
+    return float(_ratio_map(A, spec, len(seqs[0]), 1, seed)([s.mat[None] for s in seqs])[0])
 
 
 def _ratio_map(A: MultiOp, spec: IdealSpec, k: int, B: int, seed: int):
     """The map mats -> certified ratios of B tuples of length k, the dispatch of every class resolved.
 
-    Each class's `block_kernel` is fixed here, once per shape; a call
-    then makes one `evaluate_batch` call on all B k argument rows and one
-    kernel call per class. The ratio is 0 wherever an input norm is 0. A
-    ratio may differ in the last bit from the B = 1 call on the same
-    tuple (see `evaluate_batch`): at k = 1 a (B, 1, d) stack differed from
-    its B = 1 calls on 42-61% of rows, at k = 2 and 3 on none. The hill
-    climb scores no k = 1 stack.
+    mats[m] is a (B, k, d_m) stack; a stack of another shape is a
+    `ValueError` of its class's `block_kernel`, which is fixed here, once
+    per shape. A call then makes one `evaluate_batch` call on all B k
+    argument rows and one kernel call per class. The ratio is 0 wherever
+    an input norm is 0. A ratio may differ in the last bit from the B = 1
+    call on the same tuple (see `evaluate_batch`): at k = 1 a (B, 1, d)
+    stack differed from its B = 1 calls on 42-61% of rows, at k = 2 and 3
+    on none. The hill climb scores no k = 1 stack.
     """
     inputs = [block_kernel(s, c, k, B, seed) for s, c in zip(A.domain, spec.inputs)]
     output = block_kernel(A.codomain, spec.output, k, B, seed)
@@ -193,7 +177,8 @@ def ideal_norm(
     class's branch, float exponents and enumeration budget are fixed
     before the 41 scorings of that length. The ratio-by-k curve is
     reported as a running maximum, which the pad-with-zeros argument
-    justifies.
+    justifies, and the bracket is `NormBracket.searched` at the best
+    ratio, with no cap.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
@@ -205,7 +190,7 @@ def ideal_norm(
     witness1 = tuple(
         VecSeq(s, w.coords[None, :]) for s, w in zip(A.domain, op_est.witness)
     )
-    best_ratio = float(_ratio(A, spec, [w.mat[None] for w in witness1], seed)[0])
+    best_ratio = float(_ratio_map(A, spec, 1, 1, seed)([w.mat[None] for w in witness1])[0])
     best_k, best_witness = 1, witness1
     curve = [(1, best_ratio)]
 
@@ -248,9 +233,7 @@ def ideal_norm(
             best_witness = tuple(VecSeq(s, m[i]) for s, m in zip(A.domain, _slots(Z, k, dims)))
         curve.append((k, best_ratio))
 
-    bracket = NormBracket(
-        best_ratio, best_ratio * (1.0 + ASCENT_SLACK), False, "k-sweep-ratio-search", seed
-    )
+    bracket = NormBracket.searched(best_ratio, "k-sweep-ratio-search", seed)
     return IdealNormEstimate(bracket, best_k, best_witness, tuple(curve), op_est)
 
 
@@ -424,7 +407,7 @@ def limit_stability_experiment(
     for B in A_seq:
         est_m = ideal_norm(B, spec, k_max, restarts=restarts, seed=seed)
         lower_m = max(est_m.bracket.lower, ideal_ratio(B, spec, est.witness, seed=seed))
-        sup_upper = max(sup_upper, lower_m * (1.0 + ASCENT_SLACK))
+        sup_upper = max(sup_upper, NormBracket.searched(lower_m, "member-ratio-search", seed).upper)
     return LimitStabilityReport(est.bracket.lower, sup_upper)
 
 

@@ -2,8 +2,9 @@
 
 An operator is a dense coefficient tensor of shape d_1 x ... x d_n x d_out.
 The operator norm is reported as a bracket: the lower end is certified by
-an explicit witness tuple, the upper end combines a rigorous coefficient
-(iterated Hoelder) bound with a heuristic slack on the search value.
+an explicit witness tuple, and `NormBracket.searched` caps the heuristic
+slack on the search value by a rigorous coefficient (iterated Hoelder)
+bound.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 from . import _optim
 from ._optim import ball_max, ball_method, sign_patterns
 from .spaces import Space, Vector, as_exponent, conjugate_exponent, lq_norm
-from .seqnorm import ASCENT_SLACK, NormBracket, VecSeq
+from .seqnorm import NormBracket, VecSeq
 
 __all__ = [
     "MultiOp",
@@ -152,7 +153,9 @@ def op_norm(
     row's argument. A row freezes at its first sweep that does not rise by
     1e-12 relative; the first best row is the witness. A nonzero linear
     map with an exact slot skips the walk: every row would solve the same
-    matrix, so one `ball_max` call gives the witness.
+    matrix, so one `ball_max` call gives the witness. The bracket is
+    `NormBracket.searched` at the witness's value, capped by
+    `holder_coefficient_bound`.
     """
     q_out = A.codomain.q
     q_in = A.domain[0].q
@@ -162,9 +165,7 @@ def op_norm(
     else:
         witness = _alternating_walk(A, seed, restarts, starts)
     lower = lq_norm(evaluate(A, witness).coords, q_out)
-    upper = min(lower * (1.0 + ASCENT_SLACK), holder_coefficient_bound(A))
-    exact = upper - lower <= 1e-9 * max(1.0, upper)
-    bracket = NormBracket(lower, upper, exact, "alternating-maximization", seed)
+    bracket = NormBracket.searched(lower, "alternating-maximization", seed, cap=holder_coefficient_bound(A))
     return OpNormEstimate(bracket, witness)
 
 

@@ -4,11 +4,11 @@ Five engines: sup, strong-p, weak-p, Rademacher, and Cohen (projective).
 Supremum-defined norms come back as a `NormBracket`: a certified interval
 whose lower end is witnessed by an explicit feasible point. Exact branches
 (closed forms, finite enumerations, SVD) collapse the bracket to a point.
-`seq_norm_block` brackets a (B, k, d) block of sequences at once: the
-exact branches that act row by row are written for a stack of matrices,
-and the one-sequence engines are their B = 1 case. `block_kernel`
-resolves its dispatch once for a block shape, for callers that bracket
-many blocks of one shape.
+A search value becomes a bracket in one place, `NormBracket.searched`.
+`block_kernel` brackets (B, k, d) blocks of sequences, its dispatch
+resolved once for a block shape: the exact branches that act row by row
+are written for a stack of matrices, and the one-sequence engines are
+their B = 1 case.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ __all__ = [
     "norm_cohen",
     "truncate",
     "seq_norm",
-    "seq_norm_block",
     "block_kernel",
 ]
 
@@ -166,10 +165,10 @@ class NormBracket:
         if not lo <= up:  # lo > up, or an end is NaN
             if math.isnan(lo) or math.isnan(up):
                 raise ValueError(f"bracket [{lo}, {up}] has a NaN end")
-            if lo - up > 1e-9 * max(1.0, abs(up)):
+            if lo - up > 1e-9 * abs(up):
                 raise ValueError(f"invalid bracket [{lo}, {up}]")
             lo = up
-        if self.exact and up - lo > 1e-9 * max(1.0, up):
+        if self.exact and up - lo > 1e-9 * up:
             raise ValueError(f"bracket [{lo}, {up}] too wide to be exact")
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", up)
@@ -177,6 +176,17 @@ class NormBracket:
     @classmethod
     def exact_value(cls, value: float, method: str, seed: int = 0) -> "NormBracket":
         return cls(value, value, True, method, seed)
+
+    @classmethod
+    def searched(cls, lower: float, method: str, seed: int = 0, cap: float = math.inf) -> "NormBracket":
+        """The bracket of a witnessed search value `lower` under a rigorous bound `cap`.
+
+        The upper end is min(lower * (1 + `ASCENT_SLACK`), cap); it is exact
+        only when the cap is within 1e-9 relative of the lower end, so a
+        search with no cap is never exact.
+        """
+        upper = min(lower * (1.0 + ASCENT_SLACK), cap)
+        return cls(lower, upper, cap - lower <= 1e-9 * lower, method, seed)
 
     @property
     def width(self) -> float:
@@ -211,7 +221,7 @@ def norm_strong_p(s: VecSeq, p) -> float:
 
 
 # The value kernels below take a (k, d) matrix or a (B, k, d) stack of
-# nonempty sequences; `seq_norm_block` runs them on whole blocks.
+# nonempty sequences; `block_kernel` runs them on whole blocks.
 
 def _sup_value(X: np.ndarray, q):
     X, e = unit_scaled(X)
@@ -279,10 +289,10 @@ def norm_weak_p(s: VecSeq, p, seed: int = 0, restarts: int = 32) -> NormBracket:
     dual l_inf vertices, and (p, q) = (2, 2) via the top singular value.
     Otherwise `ball_max` runs power iteration from the row witnesses and
     `restarts` seeded random points: the lower end is attained by its
-    maximizer, and the upper end carries `ASCENT_SLACK` (capped by the
-    strong-p norm). `ball_max` gets the rows scaled by an exact power of
-    two, so its branches, the search included, are exactly homogeneous
-    under scaling by powers of two.
+    maximizer, and `NormBracket.searched` caps its slack by the strong-p
+    norm. `ball_max` gets the rows scaled by an exact power of two, so its
+    branches, the search included, are exactly homogeneous under scaling
+    by powers of two.
     """
     p = float(_finite_exponent(p))
     X = s.mat
@@ -306,8 +316,7 @@ def norm_weak_p(s: VecSeq, p, seed: int = 0, restarts: int = 32) -> NormBracket:
     val = math.ldexp(val, e)
     if method != "power-iteration":
         return NormBracket.exact_value(val, _WEAK_METHODS.get(method, method), seed)
-    upper = min(val * (1.0 + ASCENT_SLACK), norm_strong_p(s, p))
-    return NormBracket(val, upper, False, method, seed)
+    return NormBracket.searched(val, method, seed, cap=norm_strong_p(s, p))
 
 
 # ---------------------------------------------------------------------------
@@ -517,38 +526,23 @@ def seq_norm(s: VecSeq, spec: SeqClassSpec, seed: int = 0) -> NormBracket:
     raise ValueError(f"unknown spec {spec!r}")
 
 
-def seq_norm_block(
-    space: Space, S: np.ndarray, spec: SeqClassSpec, seed: int = 0
-) -> tuple[np.ndarray, np.ndarray]:
-    """Brackets of a (B, k, d) block of sequences in one space: (lower, upper) arrays.
+def block_kernel(space: Space, spec: SeqClassSpec, k: int, B: int, seed: int = 0):
+    """The map S -> (lower, upper) on (B, k, space.dim) blocks of sequences, its dispatch resolved.
 
     Entry i equals `seq_norm(VecSeq(space, S[i]), spec, seed)` bit for
-    bit. The dispatch is resolved on every call, by `block_kernel` for the
-    block's shape; a caller that brackets many blocks of one shape
-    resolves it once and applies the kernel itself.
+    bit. The branch, the float exponents and the enumeration budget are
+    fixed here, once per shape. The exact branches that act row by row
+    run on the whole block at once: sup and strong-p on every item, and,
+    on the items with k >= 2 and no zero row, weak-p on l_inf spaces,
+    weak-1 by sign enumeration (q < inf, rows not disjoint) and Rad by
+    enumeration, the two enumerations while B 2^(k-1) <= `DEFAULT_BLOCK`.
+    A block with no zero entry is all such items, since at k >= 2 no two
+    of its rows have disjoint supports. A block whose items all take the
+    kernel goes to it as it is, and its lower and upper ends come back as
+    one array. Every other item goes through `seq_norm`. A block of
+    another shape is a `ValueError`.
     """
-    S = np.asarray(S, dtype=float)
-    B, k, d = S.shape
-    if d != space.dim:
-        raise ValueError(f"block shape {S.shape} does not match space dim {space.dim}")
-    return block_kernel(space, spec, k, B, seed)(S)
-
-
-def block_kernel(space: Space, spec: SeqClassSpec, k: int, B: int, seed: int = 0):
-    """The map S -> (lower, upper) of `seq_norm_block` on (B, k, d) blocks, its dispatch resolved.
-
-    The branch, the float exponents and the enumeration budget are fixed
-    here, once per shape. The exact branches that act row by row run on
-    the whole block at once: sup and strong-p on every item, and, on the
-    items with k >= 2 and no zero row, weak-p on l_inf spaces, weak-1 by
-    sign enumeration (q < inf, rows not disjoint) and Rad by enumeration,
-    the two enumerations while B 2^(k-1) <= `DEFAULT_BLOCK`. A block with
-    no zero entry is all such items, since at k >= 2 no two of its rows
-    have disjoint supports. A block whose items all take the kernel goes
-    to it as it is, and its lower and upper ends come back as one array.
-    Every other item goes through `seq_norm`. Shapes are not checked.
-    """
-    q = float(space.q)
+    q, shape = float(space.q), (B, k, space.dim)
     kernel, every, overlap = None, False, False
     if k >= 1 and spec.tag == "sup":
         kernel, every = (lambda X: _sup_value(X, q)), True
@@ -566,6 +560,8 @@ def block_kernel(space: Space, spec: SeqClassSpec, k: int, B: int, seed: int = 0
             kernel = lambda X: _rad_value(X, q)
 
     def brackets(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        if S.shape != shape:
+            raise ValueError(f"block shape {S.shape} is not {shape}")
         if kernel is not None and (every or S.all()):
             val = kernel(S)
             return val, val

@@ -22,7 +22,7 @@ from seqclass.multiop import (
 )
 from seqclass.idealnorm import (
     IdealSpec,
-    _ratio,
+    _ratio_map,
     _stability_trials,
     cohen_holder_stability,
     growth_experiment,
@@ -487,10 +487,10 @@ def test_block_ratio_matches_single_tuples():
         for k in (2, 3):
             mats = [rng.standard_normal((6, k, s.dim)) for s in A.domain]
             mats[1][2] = 0.0  # an input of norm zero scores 0
-            block = _ratio(A, spec, mats, 4)
+            block = _ratio_map(A, spec, k, 6, 4)(mats)
             assert block.shape == (6,) and block[2] == 0.0
             for i in range(6):
-                assert _ratio(A, spec, [m[i : i + 1] for m in mats], 4)[0] == block[i]
+                assert _ratio_map(A, spec, k, 1, 4)([m[i : i + 1] for m in mats])[0] == block[i]
                 if i != 2:
                     seqs = [VecSeq(s, m[i]) for s, m in zip(A.domain, mats)]
                     assert ideal_ratio(A, spec, seqs, seed=4) == block[i]
@@ -511,6 +511,10 @@ def test_ideal_norm_homogeneous_at_extreme_scales():
             got = ideal_norm(MultiOp(A.domain, A.codomain, c * A.coeffs), spec, 3, restarts=2, seed=t)
             assert got.best_k == ref.best_k
             assert abs(got.bracket.lower - c * ref.bracket.lower) <= 1e-12 * c * ref.bracket.lower, (t, c)
+            # the k = 1 slice's operator-norm bracket too: the same exact flag, the upper end scaled
+            for b, r in ((got.bracket, ref.bracket), (got.op_estimate.bracket, ref.op_estimate.bracket)):
+                assert b.exact == r.exact, (t, c)
+                assert abs(b.upper - c * r.upper) <= 1e-12 * c * r.upper, (t, c)
 
 
 # eight operators over l_1, l_2 and l_inf slots, with the two spec kinds of

@@ -348,6 +348,42 @@ def test_bracket_rejects_nan():
             NormBracket(lo, up, False, "test")
 
 
+def test_bracket_checks_are_relative_at_every_scale():
+    # a 1e-3 wide bracket at 1e-180 is not exact, however small its width
+    with pytest.raises(ValueError, match="too wide"):
+        NormBracket(1e-180, 1.001e-180, True, "test")
+    # an inversion of 1e-3 relative is an error at 2^-600 as at 1
+    for c in (1.0, 2.0**-600):
+        with pytest.raises(ValueError, match="invalid"):
+            NormBracket(1.001 * c, c, False, "test")
+    # a last-bit inversion is roundoff: the lower end is set to the upper one
+    for c in (1.0, 2.0**-600, 2.0**600):
+        up = 0.7 * c
+        b = NormBracket(np.nextafter(up, math.inf), up, True, "test")
+        assert (b.lower, b.upper) == (up, up)
+
+
+def test_searched_bracket_takes_the_slack_under_its_cap():
+    slack = 1.0 + seqnorm.ASCENT_SLACK
+    b = NormBracket.searched(2.0, "search", seed=5)
+    assert (b.lower, b.upper, b.exact, b.method, b.seed) == (2.0, 2.0 * slack, False, "search", 5)
+    # the cap is the upper end when it is below the slack, and the bracket
+    # is exact only when the cap is within 1e-9 relative of the lower end
+    for cap, exact in ((3.0, False), (2.001, False), (2.0 * (1.0 + 2e-9), False),
+                       (2.0 * (1.0 + 5e-10), True), (2.0, True)):
+        b = NormBracket.searched(2.0, "search", cap=cap)
+        assert (b.upper, b.exact) == (min(2.0 * slack, cap), exact), cap
+    # the same verdicts at any scale
+    for c in (2.0**-600, 2.0**600):
+        assert not NormBracket.searched(2.0 * c, "search", cap=2.001 * c).exact
+        assert NormBracket.searched(2.0 * c, "search", cap=2.0 * c).exact
+    # a search with no cap is never exact, not even at 0
+    for lower in (0.0, 1e-300, 1.0, 1e300):
+        assert not NormBracket.searched(lower, "search").exact
+    b = NormBracket.searched(0.0, "search", cap=0.0)
+    assert (b.lower, b.upper, b.exact) == (0.0, 0.0, True)
+
+
 def test_rad_prefix_sup_equals_rad():
     rng = np.random.default_rng(41)
     for _ in range(40):
@@ -670,7 +706,7 @@ def test_linear_stability_of_each_class():
             assert lhs.lower <= ceiling * rhs.upper + 1e-9
 
 
-# --- seq_norm_block ------------------------------------------------------------
+# --- block_kernel --------------------------------------------------------------
 
 BLOCK_SPECS = [
     SeqClassSpec.sup(),
@@ -694,7 +730,8 @@ def _block_cases(rng, k, d):
 
 
 def _assert_block_matches(space, S, spec, seed=3):
-    lower, upper = seqnorm.seq_norm_block(space, S, spec, seed=seed)
+    B, k = S.shape[:2]
+    lower, upper = seqnorm.block_kernel(space, spec, k, B, seed=seed)(S)
     assert lower.shape == upper.shape == (len(S),)
     for i, X in enumerate(S):
         b = seq_norm(VecSeq(space, X), spec, seed=seed)
@@ -751,13 +788,17 @@ def test_seq_norm_block_runs_the_row_wise_branches_as_one_block(monkeypatch):
         (SeqClassSpec.weak(1), 1), (SeqClassSpec.weak(3), INF), (SeqClassSpec.rad(), 3),
     ]
     for spec, q in cases:
-        seqnorm.seq_norm_block(Space(2, q), S, spec)
+        seqnorm.block_kernel(Space(2, q), spec, 3, 6)(S)
     assert calls == []
     S[4, 1] = 0.0  # only the item with a zero row leaves the block
-    seqnorm.seq_norm_block(Space(2, 2), S, SeqClassSpec.weak(1))
+    seqnorm.block_kernel(Space(2, 2), SeqClassSpec.weak(1), 3, 6)(S)
     assert len(calls) == 1 and np.array_equal(calls[0].mat, S[4])
 
 
 def test_seq_norm_block_rejects_a_dimension_mismatch():
-    with pytest.raises(ValueError):
-        seqnorm.seq_norm_block(Space(3, 2), np.ones((2, 2, 2)), SeqClassSpec.sup())
+    # a wrong dimension, a wrong block size B and a wrong length k
+    for spec in (SeqClassSpec.sup(), SeqClassSpec.weak(1), SeqClassSpec.cohen(2)):
+        brackets = seqnorm.block_kernel(Space(3, 2), spec, 2, 2)
+        for shape in ((2, 2, 2), (3, 2, 3), (2, 3, 3), (2, 2)):
+            with pytest.raises(ValueError, match="block shape"):
+                brackets(np.ones(shape))

@@ -4,19 +4,22 @@
 
 Times, with `timeit` and BLAS on one thread:
 
-* `idealnorm._ratio` for each spec kind of the benchmark's `ideal-sweep`
-  workload (weak-1 throughout, Hoelder strong-p), arity 2 and 3,
-  k = 1, 2, 3, at B = 6 and B = 1 tuples, and `ideal_ratio` on one tuple;
-* `seqnorm.seq_norm_block` on a (6, 3, 3) block for each of its branches;
+* `idealnorm._ratio_map(...)(mats)`, resolved and applied in each call,
+  for each spec kind of the benchmark's `ideal-sweep` workload (weak-1
+  throughout, Hoelder strong-p), arity 2 and 3, k = 1, 2, 3, at B = 6
+  and B = 1 tuples, and `ideal_ratio` on one tuple;
+* `seqnorm.block_kernel(...)(S)`, resolved and applied in each call, on
+  a (6, 3, 3) block for each of its branches;
 * one `ideal_norm` k-step, as the difference of the medians at k_max and
   k_max - 1 (restarts 3, as in `ideal-sweep`);
 * `op_norm` on linear maps, with exact slots and with a searched one.
 
 Each layer is timed in 21 repeats of a loop sized to about 10 ms, and
 reported per call as the median and the quartiles, in microseconds. Only
-functions with the same signature on every commit since the block
-ratio are called, so the tool can be copied into an older checkout and
-run there. It imports the library from the `src/` beside it.
+functions with the same signature on every commit since the
+once-per-shape kernels are called, so the tool can be copied into an
+older checkout and run there. It imports the library from the `src/`
+beside it.
 """
 
 import os
@@ -82,8 +85,8 @@ def ratio_layers() -> dict:
                 for B in (6, 1):
                     rng = np.random.default_rng([16, n, k, B])
                     mats = [rng.standard_normal((B, k, s.dim)) for s in A.domain]
-                    out[f"_ratio {kind} n={n} k={k} B={B}"] = per_call_us(
-                        lambda: idealnorm._ratio(A, spec, mats, 0))
+                    out[f"_ratio_map {kind} n={n} k={k} B={B}"] = per_call_us(
+                        lambda: idealnorm._ratio_map(A, spec, k, B, 0)(mats))
     A, spec = operator(2), specs(2)["weak-1"]
     rng = np.random.default_rng(17)
     seqs = [VecSeq(s, rng.standard_normal((3, s.dim))) for s in A.domain]
@@ -106,7 +109,7 @@ def block_layers() -> dict:
         "weak-p item by item": (Space(3, 2), S, SeqClassSpec.weak(Fraction(3, 2))),
     }
     return {
-        f"seq_norm_block {name}": per_call_us(lambda: seqnorm.seq_norm_block(space, X, spec))
+        f"block_kernel {name}": per_call_us(lambda: seqnorm.block_kernel(space, spec, 3, 6)(X))
         for name, (space, X, spec) in cases.items()
     }
 

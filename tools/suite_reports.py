@@ -10,7 +10,8 @@ and seed 0 (`default-<suite>.json`). Each report is rendered as
 `seqclass suite run` writes it, with the `wall_time_s` entry removed, so
 `diff -r` of the directories written by two checkouts shows every change
 in a verdict, a count or a number. BLAS runs on one thread, since some
-Cohen brackets depend on the thread count.
+Cohen brackets depend on the thread count. `tests/test_reports.py` pins
+the SHA-256 of the ten small seed-0 reports.
 """
 
 import os
@@ -18,6 +19,7 @@ import os
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
+import json  # noqa: E402
 import sys  # noqa: E402
 from pathlib import Path  # noqa: E402
 
@@ -42,6 +44,13 @@ def configs() -> dict[str, dict]:
     return out
 
 
+def render(cfg: dict) -> str:
+    """The report of one config as `seqclass suite run` writes it, without `wall_time_s`."""
+    report = run_suite(cfg).to_dict()
+    del report["summary"]["wall_time_s"]
+    return dumps(report)
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print("usage: python3 tools/suite_reports.py OUT_DIR", file=sys.stderr)
@@ -49,10 +58,9 @@ def main(argv: list[str]) -> int:
     out_dir = Path(argv[0])
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, cfg in configs().items():
-        report = run_suite(cfg).to_dict()
-        del report["summary"]["wall_time_s"]
-        (out_dir / f"{name}.json").write_text(dumps(report))
-        print(name, "PASS" if report["summary"]["passed"] else "FAIL", flush=True)
+        text = render(cfg)
+        (out_dir / f"{name}.json").write_text(text)
+        print(name, "PASS" if json.loads(text)["summary"]["passed"] else "FAIL", flush=True)
     return 0
 
 
