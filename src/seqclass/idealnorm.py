@@ -182,6 +182,8 @@ def ideal_norm(
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
+    if restarts < 0:
+        raise ValueError("restarts must be >= 0")
     if spec.arity != A.arity:
         raise ValueError("spec arity does not match the operator")
 

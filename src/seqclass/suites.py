@@ -4,9 +4,11 @@ Each suite expands a config into independent cases, runs them one after
 another in order, and returns a `SuiteReport` whose per-case records carry
 the numbers needed to recheck every verdict offline: each holds the number
 its verdict was read from (a worst margin or ratio) under a key that
-`_case_note` reads. Every pass/fail threshold is a constant: `_EXACT_TOL`,
-`TRANSPORT_SLACK`, `_BAND`, `_ATTAINMENT_FLOOR` and the literal gates in
-the builders. No config moves one.
+`_case_note` reads. A sampled case is a margin function of a generator and
+a trial index, turned into a verdict by `_gated`: the worst margin over
+the case's trials, read against a gate. Every pass/fail threshold is a
+constant: `_EXACT_TOL`, `TRANSPORT_SLACK`, `_BAND`, `_ATTAINMENT_FLOOR` and
+the literal gates in the builders. No config moves one.
 """
 
 from __future__ import annotations
@@ -248,104 +250,90 @@ def run_suite(config: dict) -> SuiteReport:
 CaseList = Sequence[tuple[str, Callable[[], dict]]]
 
 
+def _gated(seed: int, key: int, trials: int, margin: Callable, gate: float) -> dict:
+    """One sampled case: the worst `margin(rng, t)` over t < `trials`, read against `gate`.
+
+    Every draw comes from one generator, `default_rng([seed, key])`. The
+    case passes when the worst margin is at most `gate`; the record holds
+    that worst margin and the trial count.
+    """
+    rng = np.random.default_rng([seed, key])
+    worst = -math.inf
+    for t in range(trials):
+        worst = max(worst, margin(rng, t))
+    return {"passed": worst <= gate, "value": worst, "trials": trials}
+
+
 def _suite_seqnorm_axioms(
     seed, trials=150, k_max=5, dims=(1, 2, 3), exponents=_FULL_MENU
 ) -> CaseList:
     exps = tuple(map(as_exponent, exponents))
     third = _share(trials, 3, "trials")
 
-    def unit_sequence() -> dict:
-        rng = np.random.default_rng([seed, 1])
-        worst = 0.0
-        for _ in range(trials):
-            spec = _CLASS_MENU[rng.integers(len(_CLASS_MENU))]
-            space = random_space(rng, dims, exps)
-            k = int(rng.integers(1, k_max + 1))
-            mat = np.zeros((k, space.dim))
-            mat[rng.integers(k)] = rng.standard_normal(space.dim)
-            expect = norm_sup(VecSeq(space, mat))
-            b = seq_norm(VecSeq(space, mat), spec, seed=seed)
-            scale = max(1.0, expect)
-            worst = max(worst, abs(b.lower - expect) / scale, abs(b.upper - expect) / scale)
-        return {"passed": worst <= _EXACT_TOL, "value": worst, "trials": trials}
+    def draw(rng, least: int = 1) -> tuple:
+        """A class, a space and a length in [least, k_max], drawn in that order."""
+        spec = _CLASS_MENU[rng.integers(len(_CLASS_MENU))]
+        space = random_space(rng, dims, exps)
+        return spec, space, int(rng.integers(least, k_max + 1))
 
-    def embedding() -> dict:
-        rng = np.random.default_rng([seed, 2])
-        worst = -math.inf
-        for _ in range(trials):
-            spec = _CLASS_MENU[rng.integers(len(_CLASS_MENU))]
-            space = random_space(rng, dims, exps)
-            s = random_vecseq(rng, space, int(rng.integers(0, k_max + 1)))
-            b = seq_norm(s, spec, seed=seed)
-            worst = max(worst, norm_sup(s) - b.upper)
-        return {"passed": worst <= _EXACT_TOL, "value": worst, "trials": trials}
+    def unit_sequence(rng, t) -> float:
+        spec, space, k = draw(rng)
+        mat = np.zeros((k, space.dim))
+        mat[rng.integers(k)] = rng.standard_normal(space.dim)
+        expect = norm_sup(VecSeq(space, mat))
+        b = seq_norm(VecSeq(space, mat), spec, seed=seed)
+        scale = max(1.0, expect)
+        return max(abs(b.lower - expect) / scale, abs(b.upper - expect) / scale)
 
-    def ordering() -> dict:
-        rng = np.random.default_rng([seed, 3])
-        ok = True
-        worst = 0.0
-        for _ in range(trials):
-            space = random_space(rng, dims, exps)
-            s = random_vecseq(rng, space, int(rng.integers(1, k_max + 1)))
-            p = [1.0, 1.5, 2.0, 3.0][rng.integers(4)]
-            sp = norm_strong_p(s, p)
-            wk = norm_weak_p(s, p, seed=seed)
-            ch = norm_cohen(s, p, seed=seed)
-            gaps = (
-                wk.upper - sp - 1e-12 * max(1, sp),
-                sp - ch.upper - _EXACT_TOL * max(1, sp),
-                ch.upper - norm_strong_p(s, 1) - 1e-12 * max(1, sp),
-            )
-            worst = max(worst, *gaps)
-            ok = ok and all(g <= 0 for g in gaps)
-        return {"passed": ok, "value": worst, "trials": trials}
+    def embedding(rng, t) -> float:
+        spec, space, k = draw(rng, 0)
+        s = random_vecseq(rng, space, k)
+        return norm_sup(s) - seq_norm(s, spec, seed=seed).upper
 
-    def truncation() -> dict:
-        rng = np.random.default_rng([seed, 4])
-        ok = True
-        worst = -math.inf
-        for _ in range(third):
-            spec = _CLASS_MENU[rng.integers(len(_CLASS_MENU))]
-            space = random_space(rng, dims, exps)
-            k = int(rng.integers(1, k_max + 1))
-            s = random_vecseq(rng, space, k)
-            full = seq_norm(s, spec, seed=seed)
-            for m in range(k + 1):
-                gap = seq_norm(truncate(s, m), spec, seed=seed).lower - (full.upper + _EXACT_TOL)
-                worst = max(worst, gap)
-                ok = ok and gap <= 0
-        return {"passed": ok, "value": worst, "trials": third}
+    def ordering(rng, t) -> float:
+        space = random_space(rng, dims, exps)
+        s = random_vecseq(rng, space, int(rng.integers(1, k_max + 1)))
+        p = [1.0, 1.5, 2.0, 3.0][rng.integers(4)]
+        sp = norm_strong_p(s, p)
+        wk = norm_weak_p(s, p, seed=seed)
+        ch = norm_cohen(s, p, seed=seed)
+        return max(
+            0.0,
+            wk.upper - sp - 1e-12 * max(1, sp),
+            sp - ch.upper - _EXACT_TOL * max(1, sp),
+            ch.upper - norm_strong_p(s, 1) - 1e-12 * max(1, sp),
+        )
 
-    def axioms() -> dict:
-        rng = np.random.default_rng([seed, 5])
-        ok = True
-        worst = -math.inf
-        for _ in range(third):
-            spec = _CLASS_MENU[rng.integers(len(_CLASS_MENU))]
-            space = random_space(rng, dims, exps)
-            k = int(rng.integers(1, k_max + 1))
-            a = random_vecseq(rng, space, k)
-            bmat = rng.standard_normal((k, space.dim))
-            c = float(rng.uniform(0.2, 2.5))
-            na = seq_norm(a, spec, seed=seed)
-            nca = seq_norm(VecSeq(space, c * a.mat), spec, seed=seed)
-            if na.exact and nca.exact:
-                homogeneity = abs(nca.lower - c * na.lower) - 1e-12 * max(1, c * na.lower)
-            else:
-                homogeneity = nca.lower - (c * na.upper * (1 + _EXACT_TOL) + 1e-12)
-            nb = seq_norm(VecSeq(space, bmat), spec, seed=seed)
-            nsum = seq_norm(VecSeq(space, a.mat + bmat), spec, seed=seed)
-            gaps = (homogeneity, nsum.lower - (na.upper + nb.upper + _EXACT_TOL))
-            worst = max(worst, *gaps)
-            ok = ok and all(g <= 0 for g in gaps)
-        return {"passed": ok, "value": worst, "trials": third}
+    def truncation(rng, t) -> float:
+        spec, space, k = draw(rng)
+        s = random_vecseq(rng, space, k)
+        full = seq_norm(s, spec, seed=seed)
+        return max(
+            seq_norm(truncate(s, m), spec, seed=seed).lower - (full.upper + _EXACT_TOL)
+            for m in range(k + 1)
+        )
+
+    def axioms(rng, t) -> float:
+        spec, space, k = draw(rng)
+        a = random_vecseq(rng, space, k)
+        bmat = rng.standard_normal((k, space.dim))
+        c = float(rng.uniform(0.2, 2.5))
+        na = seq_norm(a, spec, seed=seed)
+        nca = seq_norm(VecSeq(space, c * a.mat), spec, seed=seed)
+        if na.exact and nca.exact:
+            homogeneity = abs(nca.lower - c * na.lower) - 1e-12 * max(1, c * na.lower)
+        else:
+            homogeneity = nca.lower - (c * na.upper * (1 + _EXACT_TOL) + 1e-12)
+        nb = seq_norm(VecSeq(space, bmat), spec, seed=seed)
+        nsum = seq_norm(VecSeq(space, a.mat + bmat), spec, seed=seed)
+        return max(homogeneity, nsum.lower - (na.upper + nb.upper + _EXACT_TOL))
 
     return [
-        ("unit-sequence", unit_sequence),
-        ("sup-embedding", embedding),
-        ("weak<=strong<=cohen<=l1", ordering),
-        ("truncation-monotone", truncation),
-        ("homogeneity+triangle", axioms),
+        ("unit-sequence", partial(_gated, seed, 1, trials, unit_sequence, _EXACT_TOL)),
+        ("sup-embedding", partial(_gated, seed, 2, trials, embedding, _EXACT_TOL)),
+        ("weak<=strong<=cohen<=l1", partial(_gated, seed, 3, trials, ordering, 0.0)),
+        ("truncation-monotone", partial(_gated, seed, 4, third, truncation, 0.0)),
+        ("homogeneity+triangle", partial(_gated, seed, 5, third, axioms, 0.0)),
     ]
 
 
@@ -354,26 +342,21 @@ def _suite_linear_stability(
 ) -> CaseList:
     exps = tuple(map(as_exponent, exponents))
 
-    def one_class(spec: SeqClassSpec, tag: int) -> Callable[[], dict]:
-        def case() -> dict:
-            rng = np.random.default_rng([seed, tag])
-            worst = -math.inf
-            for _ in range(trials // len(_CLASS_MENU) + 1):
-                space = random_space(rng, dims, exps)
-                out_space = random_space(rng, dims, exps)
-                s = random_vecseq(rng, space, int(rng.integers(1, k_max + 1)))
-                U = rng.standard_normal((space.dim, out_space.dim))
-                u = MultiOp((space,), out_space, U)
-                mapped = VecSeq(out_space, s.mat @ U)
-                lhs = seq_norm(mapped, spec, seed=seed)
-                rhs = seq_norm(s, spec, seed=seed)
-                ceiling = op_norm(u, seed=seed).bracket.upper
-                worst = max(worst, lhs.lower - ceiling * rhs.upper)
-            return {"passed": worst <= _EXACT_TOL, "value": worst}
+    def margin(spec: SeqClassSpec, rng, t) -> float:
+        space = random_space(rng, dims, exps)
+        out_space = random_space(rng, dims, exps)
+        s = random_vecseq(rng, space, int(rng.integers(1, k_max + 1)))
+        U = rng.standard_normal((space.dim, out_space.dim))
+        u = MultiOp((space,), out_space, U)
+        lhs = seq_norm(VecSeq(out_space, s.mat @ U), spec, seed=seed)
+        rhs = seq_norm(s, spec, seed=seed)
+        return lhs.lower - op_norm(u, seed=seed).bracket.upper * rhs.upper
 
-        return case
-
-    return [(f"class-{spec.describe()}", one_class(spec, i)) for i, spec in enumerate(_CLASS_MENU)]
+    share = trials // len(_CLASS_MENU) + 1
+    return [
+        (f"class-{spec.describe()}", partial(_gated, seed, i, share, partial(margin, spec), _EXACT_TOL))
+        for i, spec in enumerate(_CLASS_MENU)
+    ]
 
 
 def _transport_cases(name: str, arities, seed: int, report: Callable) -> CaseList:
@@ -527,45 +510,33 @@ def _suite_ideal_axioms(
     half = _share(trials, 2, "trials")
     specs = [IdealSpec.uniform(SeqClassSpec.weak(1), 2), IdealSpec.holder("strong", (2, 2))]
 
-    def composition() -> dict:
-        rng = np.random.default_rng([seed, 11])
-        worst = -math.inf
-        for t in range(half):
-            spec = specs[t % 2]
-            A = random_operator(rng, 2, dims, exps)
-            us = [
-                random_multiop(rng, [random_space(rng, dims, exps)], s)
-                for s in A.domain
-            ]
-            v = random_multiop(rng, [A.codomain], random_space(rng, dims, exps))
-            C = compose(v, A, us)
-            lhs = ideal_norm(C, spec, k_max, restarts=2, seed=seed + t).bracket.lower
-            rhs = (
-                op_norm(v, seed=seed + t).bracket.upper
-                * ideal_norm(A, spec, k_max, restarts=2, seed=seed + t).bracket.upper
-                * math.prod(op_norm(u, seed=seed + t).bracket.upper for u in us)
-            )
-            worst = max(worst, lhs / rhs - 1.0 if rhs > 0 else 0.0)
-        return {"passed": worst <= TRANSPORT_SLACK, "value": worst, "trials": half}
+    def composition(rng, t) -> float:
+        spec = specs[t % 2]
+        A = random_operator(rng, 2, dims, exps)
+        us = [random_multiop(rng, [random_space(rng, dims, exps)], s) for s in A.domain]
+        v = random_multiop(rng, [A.codomain], random_space(rng, dims, exps))
+        C = compose(v, A, us)
+        lhs = ideal_norm(C, spec, k_max, restarts=2, seed=seed + t).bracket.lower
+        rhs = (
+            op_norm(v, seed=seed + t).bracket.upper
+            * ideal_norm(A, spec, k_max, restarts=2, seed=seed + t).bracket.upper
+            * math.prod(op_norm(u, seed=seed + t).bracket.upper for u in us)
+        )
+        return lhs / rhs - 1.0 if rhs > 0 else 0.0
 
-    def finite_type_bound() -> dict:
-        rng = np.random.default_rng([seed, 12])
-        worst = -math.inf
-        for t in range(half):
-            spec = specs[t % 2]
-            s1 = random_space(rng, dims, exps)
-            s2 = random_space(rng, dims, exps)
-            out = random_space(rng, dims, exps)
-            phi1 = Vector(s1.dual, rng.standard_normal(s1.dim))
-            phi2 = Vector(s2.dual, rng.standard_normal(s2.dim))
-            b = Vector(out, rng.standard_normal(out.dim))
-            expected = vector_norm(phi1) * vector_norm(phi2) * vector_norm(b)
-            if expected == 0:
-                continue
-            A = finite_type([phi1, phi2], b)
-            est = ideal_norm(A, spec, k_max, restarts=2, seed=seed + t)
-            worst = max(worst, est.bracket.lower / expected - 1.0)
-        return {"passed": worst <= TRANSPORT_SLACK, "value": worst, "trials": half}
+    def finite_type_bound(rng, t) -> float:
+        spec = specs[t % 2]
+        s1 = random_space(rng, dims, exps)
+        s2 = random_space(rng, dims, exps)
+        out = random_space(rng, dims, exps)
+        phi1 = Vector(s1.dual, rng.standard_normal(s1.dim))
+        phi2 = Vector(s2.dual, rng.standard_normal(s2.dim))
+        b = Vector(out, rng.standard_normal(out.dim))
+        expected = vector_norm(phi1) * vector_norm(phi2) * vector_norm(b)
+        if expected == 0:
+            return -math.inf
+        est = ideal_norm(finite_type([phi1, phi2], b), spec, k_max, restarts=2, seed=seed + t)
+        return est.bracket.lower / expected - 1.0
 
     def scalar_compat() -> dict:
         worst = max(
@@ -574,8 +545,8 @@ def _suite_ideal_axioms(
         return {"passed": worst <= 1e-9, "excess": worst}
 
     return [
-        ("composition-inequality", composition),
-        ("finite-type-bound", finite_type_bound),
+        ("composition-inequality", partial(_gated, seed, 11, half, composition, TRANSPORT_SLACK)),
+        ("finite-type-bound", partial(_gated, seed, 12, half, finite_type_bound, TRANSPORT_SLACK)),
         ("scalar-product-embedding", scalar_compat),
     ]
 

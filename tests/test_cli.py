@@ -13,7 +13,7 @@ from seqclass.cli import main
 from seqclass._jsonio import dumps, multiop_to_dict, parse_space
 from seqclass.multiop import diag_operator
 from seqclass.spaces import INF
-from seqclass.suites import SUITE_NAMES, _case_note, _defaults, run_suite
+from seqclass.suites import SUITE_NAMES, _case_note, _defaults, _gated, run_suite
 
 
 def run_cli(args, capsys):
@@ -131,6 +131,17 @@ def test_ideal_non_finite_operator_exits_2(tmp_path, capsys):
         assert code == 2
         assert "non-finite" in err
         assert out == ""
+
+
+def test_ideal_negative_restarts_exits_2(tmp_path, capsys):
+    op_path = tmp_path / "op.json"
+    op_path.write_text(dumps(multiop_to_dict(diag_operator(2, 2, 2))))
+    args = ["ideal", "--op-file", str(op_path), "--in-class", "weak", "--in-p", "1"]
+    code, out, err = run_cli(args + ["--restarts", "-3"], capsys)
+    assert code == 2 and out == ""
+    assert "restarts must be >= 0" in err
+    code, out, _ = run_cli(args + ["--restarts", "0"], capsys)
+    assert code == 0 and out
 
 
 def test_norm_requires_exponent(capsys):
@@ -403,6 +414,20 @@ def test_every_case_records_the_number_of_its_verdict(suite):
     notes = {c["name"]: _case_note(c).partition("=") for c in report.cases}
     unread = [name for name, (key, _, x) in notes.items() if not key or not math.isfinite(float(x))]
     assert unread == []
+
+
+def test_gated_reads_the_worst_scripted_margin_against_its_gate():
+    seen = []
+
+    def margin(rng, t):
+        seen.append((t, rng.random()))
+        return [-1.0, 2.0, 0.5][t]
+
+    assert _gated(4, 7, 3, margin, 1.0) == {"passed": False, "value": 2.0, "trials": 3}
+    # one generator, seeded [seed, key], serves every trial in turn
+    assert seen == list(zip([0, 1, 2], np.random.default_rng([4, 7]).random(3)))
+    seen.clear()
+    assert _gated(4, 7, 3, margin, 2.0) == {"passed": True, "value": 2.0, "trials": 3}  # equality passes
 
 
 def test_parse_space_literals():

@@ -91,6 +91,16 @@ def test_ideal_norm_diag_weak2_reaches_sqrt_kmax():
     assert est.bracket.lower >= math.sqrt(5) - 1e-6
 
 
+def test_ideal_norm_rejects_negative_restarts():
+    D = diag_operator(2, 2, 2)
+    spec = IdealSpec.uniform(SeqClassSpec.weak(1), 2)
+    with pytest.raises(ValueError, match="restarts must be >= 0"):
+        ideal_norm(D, spec, k_max=2, restarts=-3)
+    with pytest.raises(ValueError, match="restarts must be >= 0"):
+        limit_stability_experiment([D], D, spec, k_max=2, restarts=-1)
+    assert ideal_norm(D, spec, k_max=2, restarts=0).best_k >= 1
+
+
 def test_ideal_norm_zero_operator():
     A = MultiOp((Space(2, 2), Space(2, 2)), Space(2, 2), np.zeros((2, 2, 2)))
     spec = IdealSpec.uniform(SeqClassSpec.strong(2), 2)
