@@ -3,15 +3,15 @@
 `ball_max` is the routine for max ||M x||_p over an l_q unit ball
 wherever a maximizer or a search is needed: the weak-p norm's branches
 other than its l_inf and weak-1 ones (which read the value alone through
-`seqnorm._weak_linf_value` and `seqnorm._weak_sign_oracle`), the
-one-slot step of the operator-norm search and the Cohen dual rescaling.
-It is exact on the ball's vertices and at p = q = 2 (`ball_method` names
-its branch), and otherwise makes one `power_iterate` call, the one
-dual-update loop, which advances every start as a row of one block. Both
-also take a stack of matrices, item by item, so the operator-norm search
-solves one slot for all its starts in one call. All routines are pure
-functions of their inputs, so a fixed seed reproduces results bit for bit
-(single-threaded).
+`seqnorm._weak_linf_value` and `seqnorm._weak_sign_oracle`), the whole
+norm of a linear map, the one-slot step of the multilinear operator-norm
+walk and the Cohen dual rescaling. It is exact on the ball's vertices and
+at p = q = 2 (the method it returns names its branch), and otherwise
+makes one `power_iterate` call, the one dual-update loop, which advances
+every start as a row of one block. Both also take a stack of matrices,
+item by item, so the walk solves one slot for all its starts in one call.
+All routines are pure functions of their inputs, so a fixed seed
+reproduces results bit for bit (single-threaded).
 """
 
 from __future__ import annotations
@@ -134,20 +134,6 @@ def power_iterate(M: np.ndarray, ball_q, p, X: np.ndarray, iters: int) -> tuple[
     return X, f
 
 
-def ball_method(d: int, ball_q, p) -> str:
-    """The branch `ball_max` takes for max ||M x||_p over the l_{ball_q}^d unit ball: its method name.
-
-    Every method but "power-iteration" is exact and reads no start.
-    """
-    if ball_q == 1:
-        return "l1-ball-vertices"
-    if ball_q == INF and d <= SIGN_CUTOFF:
-        return "linf-ball-vertices"
-    if ball_q == 2 and p == 2:
-        return "svd-spectral"
-    return "power-iteration"
-
-
 def ball_max(M: np.ndarray, ball_q, p, starts, iters: int = 200) -> tuple[float | np.ndarray, np.ndarray, str]:
     """max ||M x||_p over the unit ball of l_{ball_q}: (value, maximizer, method).
 
@@ -164,11 +150,10 @@ def ball_max(M: np.ndarray, ball_q, p, starts, iters: int = 200) -> tuple[float 
     exact branches, up to BLAS summation order on the power branch.
     """
     d = M.shape[-1]
-    method = ball_method(d, ball_q, p)
-    if method == "l1-ball-vertices":
+    if ball_q == 1:
         vals = lq_norm(M, p, axis=-2)  # ||M e_i||_p: the column norms
-        return vals.max(-1)[()], (np.arange(d) == vals.argmax(-1)[..., None]) * 1.0, method
-    if method == "linf-ball-vertices":
+        return vals.max(-1)[()], (np.arange(d) == vals.argmax(-1)[..., None]) * 1.0, "l1-ball-vertices"
+    if ball_q == INF and d <= SIGN_CUTOFF:
         best, idx = np.full(M.shape[:-2], -1.0), 0
         for b, sums in enumerate(sign_patterns(np.swapaxes(M, -1, -2), fix_first=True)):
             vals = lq_norm(sums, p, axis=-1)
@@ -177,10 +162,10 @@ def ball_max(M: np.ndarray, ball_q, p, starts, iters: int = 200) -> tuple[float 
             best = np.maximum(best, top)
         # eps_0 = +1 is pinned; bit j of the pattern index, bit j + 1 of 2 idx + 1, sets eps_{j+1}
         x = ((2 * idx + 1)[..., None] >> np.arange(d) & 1) * 2.0 - 1.0
-        return best[()], x, method
-    if method == "svd-spectral":
+        return best[()], x, "linf-ball-vertices"
+    if ball_q == 2 and p == 2:
         _, sig, vt = np.linalg.svd(M, full_matrices=False)
-        return sig[..., 0][()], vt[..., 0, :], method
+        return sig[..., 0][()], vt[..., 0, :], "svd-spectral"
     X, f = power_iterate(M, ball_q, p, starts(), iters)
     if not f.shape[-1]:
         return np.zeros(M.shape[:-2])[()], np.zeros(M.shape[:-2] + (d,)), "power-iteration"

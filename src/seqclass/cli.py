@@ -35,6 +35,13 @@ class _CliError(Exception):
     pass
 
 
+def _seed(text: str) -> int:
+    """A `--seed` value: numpy's generators take non-negative integers only."""
+    if text.isascii() and text.isdigit():
+        return int(text)
+    raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="seqclass",
@@ -49,7 +56,7 @@ def _build_parser() -> argparse.ArgumentParser:
     norm.add_argument("--space", required=True, help="space literal, e.g. l2:3 or linf:4")
     norm.add_argument("--seq", help="inline JSON rows, e.g. [[1,0],[0,1]]")
     norm.add_argument("--seq-file", help="JSON file with the rows")
-    norm.add_argument("--seed", type=int, default=0)
+    norm.add_argument("--seed", type=_seed, default=0)
     norm.add_argument("--json", action="store_true", help="emit JSON instead of text")
 
     ideal = sub.add_parser("ideal", help="summing-norm sweep for an operator")
@@ -61,7 +68,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ideal.add_argument("--out-p", help="output exponent")
     ideal.add_argument("--k-max", type=int, default=4)
     ideal.add_argument("--restarts", type=int, default=8)
-    ideal.add_argument("--seed", type=int, default=0)
+    ideal.add_argument("--seed", type=_seed, default=0)
     ideal.add_argument("--json", action="store_true")
     ideal.add_argument("--out", help="write the full JSON report (with witness) here")
     ideal.add_argument("--csv", help="write the ratio-by-k curve as CSV here")
@@ -70,7 +77,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ssub = suite.add_subparsers(dest="suite_command", required=True)
     run = ssub.add_parser("run", help="run a suite by name or config path")
     run.add_argument("target", help="suite name or config.json path")
-    run.add_argument("--seed", type=int, help="override the config seed")
+    run.add_argument("--seed", type=_seed, help="override the config seed")
     run.add_argument("--out", help="write the JSON report here")
     run.add_argument("--csv", help="write ratio curves as CSV here")
     run.add_argument("--json", action="store_true", help="print JSON instead of the table")

@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from . import _optim
-from ._optim import ball_max, ball_method, sign_patterns
+from ._optim import ball_max, sign_patterns
 from .spaces import Space, Vector, as_exponent, conjugate_exponent, lq_norm
 from .seqnorm import NormBracket, VecSeq
 
@@ -118,7 +118,7 @@ def evaluate_batch(A: MultiOp, mats: Sequence[np.ndarray]) -> np.ndarray:
 def _contract_all_but(A: MultiOp, X: Sequence[np.ndarray], m: int) -> np.ndarray:
     """(S, d_out, d_m) stack: the map in slot m with each other slot l fixed at a row of X[l].
 
-    One einsum without path search; the ones vector carries the row axis at arity 1.
+    One einsum without path search; its ones vector fixes the summation order of the walk's arity-2 bits.
     """
     n, row = A.arity, A.arity + 1
     ops = [A.coeffs, list(range(n + 1)), np.ones(len(X[m])), [row]]
@@ -136,42 +136,44 @@ def holder_coefficient_bound(A: MultiOp) -> float:
     return lq_norm(T, A.codomain.q)
 
 
+#: The walk's budget: `_SWEEPS` sweeps, each of at most `_SLOT_STEPS` dual updates per searched slot.
+_SWEEPS, _SLOT_STEPS = 60, 20
+
+
 def op_norm(
     A: MultiOp,
     seed: int = 0,
     restarts: int = 16,
     starts: Sequence[Sequence[np.ndarray]] = (),
 ) -> OpNormEstimate:
-    """Alternating maximization of ||A(x_1,...,x_n)|| over unit arguments.
+    """Maximization of ||A(x_1,...,x_n)|| over unit arguments.
 
     Each initial tuple, scaled to unit arguments, is a row of one block
     per slot: the `starts` (tuples of coordinate arrays), the basis tuple
-    at the largest coefficient, then `restarts` random tuples. Each sweep
-    maximizes over one slot at a time with one `ball_max` call on the
-    stack of the live rows' slot matrices: exactly for l_1 slots, small
-    l_inf slots and l_2 -> l_2 pairs, else by 20 dual updates from the
-    row's argument. A row freezes at its first sweep that does not rise by
-    1e-12 relative; the first best row is the witness. A nonzero linear
-    map with an exact slot skips the walk: every row would solve the same
-    matrix, so one `ball_max` call gives the witness. The bracket is
-    `NormBracket.searched` at the witness's value, capped by
-    `holder_coefficient_bound`.
+    at the largest coefficient, then `restarts` random tuples. A linear
+    map is one `ball_max` call on A^T with the walk's whole budget, and
+    its bracket is exact under the method of an exact branch. Otherwise
+    each sweep of a block walk solves one slot for all live rows with one
+    `ball_max` call; a row freezes at its first sweep that does not rise
+    by 1e-12 relative, and the first best row is the witness. A searched
+    bracket is `NormBracket.searched`, capped by `holder_coefficient_bound`.
     """
     q_out = A.codomain.q
-    q_in = A.domain[0].q
-    if A.arity == 1 and A.coeffs.any() and ball_method(A.domain[0].dim, q_in, q_out) != "power-iteration":
-        x = ball_max(np.ascontiguousarray(A.coeffs.T)[None], q_in, q_out, None)[1][0]
-        witness = (Vector(A.domain[0], x),)
+    if A.arity > 1:
+        witness = _alternating_walk(A, _start_blocks(A, seed, restarts, starts))
     else:
-        witness = _alternating_walk(A, seed, restarts, starts)
+        _, x, method = ball_max(np.ascontiguousarray(A.coeffs.T)[None], A.domain[0].q, q_out,
+                                lambda: _start_blocks(A, seed, restarts, starts)[0][None], _SWEEPS * _SLOT_STEPS)
+        witness = (Vector(A.domain[0], x[0]),)
     lower = lq_norm(evaluate(A, witness).coords, q_out)
+    if A.arity == 1 and method != "power-iteration":
+        return OpNormEstimate(NormBracket.exact_value(lower, method, seed), witness)
     bracket = NormBracket.searched(lower, "alternating-maximization", seed, cap=holder_coefficient_bound(A))
     return OpNormEstimate(bracket, witness)
 
 
-def _alternating_walk(A: MultiOp, seed: int, restarts: int, starts) -> tuple[Vector, ...]:
-    """The witness tuple of `op_norm`'s block walk: the first best row after the last sweep."""
-    q_out = A.codomain.q
+def _start_blocks(A: MultiOp, seed: int, restarts: int, starts) -> list[np.ndarray]:
+    """`op_norm`'s initial tuples as one (S, d_m) block per slot, each nonzero row scaled onto the unit sphere."""
     dims = [s.dim for s in A.domain]
     peak = np.unravel_index(int(np.argmax(np.abs(A.coeffs))), A.coeffs.shape)
     V = np.random.default_rng(seed).standard_normal((restarts, sum(dims)))
@@ -181,15 +183,20 @@ def _alternating_walk(A: MultiOp, seed: int, restarts: int, starts) -> tuple[Vec
         nv = lq_norm(Xm, A.domain[m].q, axis=1)
         # a start left outside the unit ball could witness more than the norm
         X.append(Xm / np.where(nv > 0, nv, 1.0)[:, None])
+    return X
 
+
+def _alternating_walk(A: MultiOp, X: list[np.ndarray]) -> tuple[Vector, ...]:
+    """The witness tuple of `op_norm`'s walk from the start blocks X: the first best row after the last sweep."""
+    q_out = A.codomain.q
     f = lq_norm(evaluate_batch(A, X), q_out, axis=1)
     live = np.ones(len(f), dtype=bool)
-    for _ in range(60):
+    for _ in range(_SWEEPS):
         for m in range(A.arity):
             M = _contract_all_but(A, X, m)
             rows = live & M.any(axis=(1, 2))
             if rows.any():
-                X[m][rows] = ball_max(M[rows], A.domain[m].q, q_out, lambda: X[m][rows, None], 20)[1]
+                X[m][rows] = ball_max(M[rows], A.domain[m].q, q_out, lambda: X[m][rows, None], _SLOT_STEPS)[1]
         fn = lq_norm(evaluate_batch(A, X), q_out, axis=1)
         f, live = np.where(live, np.maximum(f, fn), f), live & (fn > f * (1.0 + 1e-12))
         if not live.any():

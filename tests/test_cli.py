@@ -144,6 +144,22 @@ def test_ideal_negative_restarts_exits_2(tmp_path, capsys):
     assert code == 0 and out
 
 
+@pytest.mark.parametrize("seed", ["-1", "-7", "2.5", "x"])
+@pytest.mark.parametrize("seq", ["[[1,0],[0,1]]", "[[1,0.5],[0.3,1]]"], ids=["exact", "searched"])
+def test_seed_must_be_non_negative_integer(seed, seq, tmp_path, capsys):
+    # rejected while parsing, before any branch is chosen, naming the option
+    op_path = tmp_path / "op.json"
+    op_path.write_text(dumps(multiop_to_dict(diag_operator(2, 2, 2))))
+    for args in (["norm", "--class", "weak", "--p", "2", "--space", "l3:2", "--seq", seq],
+                 ["ideal", "--op-file", str(op_path), "--in-class", "weak", "--in-p", "2", "--k-max", "1"],
+                 ["suite", "run", "decoupling"]):
+        code, out, err = run_cli(args + ["--seed", seed], capsys)
+        assert code == 2 and out == "", args
+        assert "argument --seed: expected a non-negative integer" in err, args
+    code, out, _ = run_cli(["norm", "--class", "weak", "--p", "2", "--space", "l3:2", "--seq", seq, "--seed", "0"], capsys)
+    assert code == 0 and "seed=0" in out
+
+
 def test_norm_requires_exponent(capsys):
     code, _, err = run_cli(
         ["norm", "--class", "weak", "--space", "l2:2", "--seq", "[[1,0]]"], capsys

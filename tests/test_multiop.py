@@ -1,5 +1,6 @@
 """Tests for multilinear operators: evaluation, norms, composition, decoupling."""
 
+import hashlib
 import math
 import sys
 from fractions import Fraction
@@ -12,6 +13,7 @@ from seqclass._optim import ball_max
 from seqclass.spaces import INF, Space, Vector, lq_norm, norming_functional, vector_norm
 from seqclass.seqnorm import SeqClassSpec, VecSeq
 from seqclass.idealnorm import IdealSpec, ideal_ratio
+from seqclass.sampling import DEFAULT_EXPONENTS, random_operator
 from seqclass.multiop import (
     MultiOp,
     _contract_all_but,
@@ -447,30 +449,71 @@ def test_op_norm_block_walk_matches_per_start_loop(menu):
 
 
 # linear maps with an exact slot (l_1, small l_inf, l_2 -> l_2) and the
-# (lower, upper, exact, witness) that the block walk gave them, as float.hex
+# (lower, upper, exact, witness) that `op_norm` gives them, as float.hex
 EXACT_SLOT_MAPS = [((3, 1), (2, 3)), ((4, INF), (3, Fraction(3, 2))), ((3, 2), (3, 2)),
                    ((2, INF), (4, 1)), ((4, 1), (2, INF)), ((4, 2), (2, 2))]
 EXACT_SLOT_BRACKETS = [
-    ('0x1.2b7d68f8c260ap+1', '0x1.2bca1457374ecp+1', False, ['0x1.0000000000000p+0', '0x0.0p+0', '0x0.0p+0']),
-    ('0x1.cf350135af2ebp+2', '0x1.cfab95f268f51p+2', False, ['0x1.0000000000000p+0', '0x1.0000000000000p+0', '0x1.0000000000000p+0', '0x1.0000000000000p+0']),
-    ('0x1.47c5cceb5c56ep+0', '0x1.4819b5d40b479p+0', False, ['0x1.2cbd7fa5ec6d6p-1', '-0x1.0607cf7df31f7p-3', '0x1.9927c236495e2p-1']),
+    ('0x1.2b7d68f8c260ap+1', '0x1.2b7d68f8c260ap+1', True, ['0x1.0000000000000p+0', '0x0.0p+0', '0x0.0p+0']),
+    ('0x1.cf350135af2ebp+2', '0x1.cf350135af2ebp+2', True, ['0x1.0000000000000p+0', '0x1.0000000000000p+0', '0x1.0000000000000p+0', '0x1.0000000000000p+0']),
+    ('0x1.47c5cceb5c56ep+0', '0x1.47c5cceb5c56ep+0', True, ['0x1.2cbd7fa5ec6d6p-1', '-0x1.0607cf7df31f7p-3', '0x1.9927c236495e2p-1']),
     ('0x1.8d82f69f06a69p+2', '0x1.8d82f69f06a69p+2', True, ['0x1.0000000000000p+0', '0x1.0000000000000p+0']),
     ('0x1.35d0d25f084cap+0', '0x1.35d0d25f084cap+0', True, ['0x1.0000000000000p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0']),
-    ('0x1.49b8a9bc82191p+1', '0x1.4a0d125aa6116p+1', False, ['0x1.78f38d39af0c3p-4', '-0x1.7e626c5583173p-1', '0x1.aa12706b3816dp-3', '0x1.3fefef68b9d70p-1']),
+    ('0x1.49b8a9bc82191p+1', '0x1.49b8a9bc82191p+1', True, ['0x1.78f38d39af0c3p-4', '-0x1.7e626c5583173p-1', '0x1.aa12706b3816dp-3', '0x1.3fefef68b9d70p-1']),
 ]
+# linear maps whose slot `ball_max` searches by power iteration
+SEARCHED_SLOT_MAPS = [((3, 2), (3, 3)), ((4, 3), (4, Fraction(4, 3))), ((21, INF), (2, 2))]
 
 
 def test_op_norm_exact_linear_slot_is_one_ball_max_call(monkeypatch):
+    # every linear map, exact slot or searched, is one call on its (1, m, d) stack
     calls = []
     monkeypatch.setattr(multiop, "ball_max", lambda *a, **kw: calls.append(a[0].shape) or ball_max(*a, **kw))
-    for i, ((d, q), (m, r)) in enumerate(EXACT_SLOT_MAPS):
+    for i, ((d, q), (m, r)) in enumerate(EXACT_SLOT_MAPS + SEARCHED_SLOT_MAPS):
         A = MultiOp((Space(d, q),), Space(m, r), np.random.default_rng([1601, i]).standard_normal((d, m)))
         calls.clear()
         est = op_norm(A, seed=i)
         assert calls == [(1, m, d)]
         b = est.bracket
+        if i >= len(EXACT_SLOT_MAPS):
+            assert (b.method, b.exact) == ("alternating-maximization", False), i
+            assert b.lower == lq_norm(evaluate(A, est.witness).coords, r) < b.upper, i
+            continue
         got = (b.lower.hex(), b.upper.hex(), b.exact, [x.hex() for x in est.witness[0].coords])
         assert got == EXACT_SLOT_BRACKETS[i], i
+
+
+@pytest.mark.parametrize("q, r", [(1, 3), (INF, 2), (2, 2), (3, Fraction(3, 2))],
+                         ids=["l1-vertices", "linf-vertices", "svd", "power"])
+def test_op_norm_zero_linear_map_is_exact_zero(q, r):
+    for d in (1, 3):
+        A = MultiOp((Space(d, q),), Space(2, r), np.zeros((d, 2)))
+        for kw in ({}, {"restarts": 0}, {"starts": [[np.zeros(d)]]}):
+            est = op_norm(A, seed=d, **kw)
+            b = est.bracket
+            assert (b.lower, b.upper, b.exact) == (0.0, 0.0, True), (d, kw)
+            x = est.witness[0].coords
+            assert x.shape == (d,) and lq_norm(x, q) <= 1.0, (d, kw)
+
+
+# SHA-256 of the bracket ends, exact flags, methods and witness bytes of
+# `op_norm` on 120 random bilinear and 60 random trilinear maps: the bits of
+# the walk that the summing-norm climb rests on
+OP_NORM_WALK_SHA256 = {
+    2: "bf883b6214323d13889b1b1147bb35e9ed95a6de9d4f760d9ec5e13e8e9a21e6",
+    3: "cd8255a518773e43e32a8bff113d84010cfab9a5c6ef05568a00c003cb7e6d79",
+}
+
+
+@pytest.mark.parametrize("arity, count", [(2, 120), (3, 60)])
+def test_op_norm_walk_bits_are_pinned(arity, count):
+    rng = np.random.default_rng([19, arity])
+    h = hashlib.sha256()
+    for i in range(count):
+        est = op_norm(random_operator(rng, arity, (1, 2, 3, 4), DEFAULT_EXPONENTS), seed=i)
+        b = est.bracket
+        h.update(f"{b.lower.hex()} {b.upper.hex()} {b.exact} {b.method};".encode())
+        h.update(b"".join(x.coords.tobytes() for x in est.witness))
+    assert h.hexdigest() == OP_NORM_WALK_SHA256[arity]
 
 
 def test_op_norm_contractions_match_tensordot():

@@ -22,7 +22,7 @@ REPORT_SHA256 = {
     "small-decoupling-0": "461e900032fa8d855505686a5fa8496c3e6371b475263f63b06f5ded6226ab07",
     "small-growth-0": "1c4ba527e79d2e4df89a706ca2c3aa7769e6a670d1f08466987c98c86b64c36e",
     "small-holder-identity-0": "5c99dda3c5a8492c03ec5f647a2b1211b7e11149ef67b7405744b5e7fc7f52a3",
-    "small-ideal-axioms-0": "91996e9ebfa6392e7bb29b3e2827479f3818796ec48fd1629116a85e01d04695",
+    "small-ideal-axioms-0": "3bfdb01efc2c348d28b1a34264b567e7a2f31c63f57b4dc239d922343ea72471",
     "small-limit-stability-0": "d9c422d0284f29f383b74db88b557e786b17163b16df2f491ac0a01d8240486c",
     "small-linear-stability-0": "1e5b9f0319ae3fcbf8ffc22ae804ba0ed90d555d0780826d935972915c4d8ecb",
     "small-rad-stability-0": "bed0bf31471c65e66124bbc01d44376ac87c198f62884bb788edbaf57a136c75",
