@@ -2,7 +2,8 @@
 
 The estimator alternates exact one-slot maximizations; the bracket's
 lower end is always attained by the reported witness tuple, the upper end
-combines a rigorous coefficient bound with a small heuristic slack.
+combines a floating-point coefficient bound, rounded outward, with a
+small heuristic slack.
 """
 
 import numpy as np
@@ -41,7 +42,7 @@ expected = vector_norm(phi1) * vector_norm(phi2) * vector_norm(b)
 est = op_norm(A, seed=1)
 print(f"  product of factor norms : {expected:.9f}")
 print(f"  estimated bracket       : [{est.bracket.lower:.9f}, {est.bracket.upper:.9f}]")
-print(f"  rigorous coefficient bound: {holder_coefficient_bound(A):.9f} (tight here)")
+print(f"  float coefficient bound : {holder_coefficient_bound(A):.9f} (tight here)")
 
 print()
 print("A generic random trilinear operator (no closed form):")

@@ -121,7 +121,7 @@ def _cmd_ideal(args) -> int:
     try:
         doc = json.loads(Path(args.op_file).read_text())
         A = multiop_from_dict(doc)
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise _CliError(f"cannot load operator: {exc}") from exc
     in_spec = SeqClassSpec(args.in_class, args.in_p)
     out_cls = args.out_class or args.in_class

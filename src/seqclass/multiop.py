@@ -16,7 +16,7 @@ import numpy as np
 
 from . import _optim
 from ._optim import ball_max, sign_patterns
-from .spaces import Space, Vector, as_exponent, conjugate_exponent, lq_norm
+from .spaces import Space, Vector, _max_scaled, as_exponent, conjugate_exponent, lq_norm
 from .seqnorm import NormBracket, VecSeq
 
 __all__ = [
@@ -129,11 +129,11 @@ def _contract_all_but(A: MultiOp, X: Sequence[np.ndarray], m: int) -> np.ndarray
 
 
 def holder_coefficient_bound(A: MultiOp) -> float:
-    """Rigorous upper bound: iterated Hoelder on the absolute coefficients."""
+    """Iterated Hoelder on |coefficients|, each slice's max scaled out; `NormBracket.searched` rounds it up."""
     T = np.abs(A.coeffs)
     for m in range(A.arity - 1, -1, -1):
-        T = lq_norm(T, conjugate_exponent(A.domain[m].q), axis=m)
-    return lq_norm(T, A.codomain.q)
+        T = _max_scaled(T, float(conjugate_exponent(A.domain[m].q)), m)
+    return float(_max_scaled(T, float(A.codomain.q), 0))
 
 
 #: The walk's budget: `_SWEEPS` sweeps, each of at most `_SLOT_STEPS` dual updates per searched slot.

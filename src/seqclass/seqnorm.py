@@ -44,6 +44,10 @@ __all__ = [
 #: Relative slack reported on heuristic (search-derived) upper ends.
 ASCENT_SLACK = 1e-3
 
+#: Outward rounding of a computed upper bound, 512 ulps: 2^-54 ln(2^960) < 3.7e-14 covers `lq_norm`'s unscaled
+#: root of a witness value, the rest the few ulps per level and summed term of that value and of a max-scaled cap.
+_ROUNDING = 2.0**-44
+
 #: Monte-Carlo samples `seq_norm` draws for a Rademacher norm past `_optim.SIGN_CUTOFF`.
 RAD_MC_SAMPLES = 10_000
 
@@ -145,7 +149,7 @@ def _finite_exponent(p):
 
 @dataclass(frozen=True)
 class NormBracket:
-    """Certified enclosure [lower, upper] of a norm value.
+    """Certified enclosure 0 <= lower <= upper of a norm value; no end is ever edited.
 
     `exact` asserts the two ends agree to 1e-9 relative and both are
     rigorous; heuristic estimators set exact=False and record their method
@@ -160,14 +164,8 @@ class NormBracket:
 
     def __post_init__(self):
         lo, up = float(self.lower), float(self.upper)
-        if lo < 0.0 and lo > -1e-12:
-            lo = 0.0
-        if not lo <= up:  # lo > up, or an end is NaN
-            if math.isnan(lo) or math.isnan(up):
-                raise ValueError(f"bracket [{lo}, {up}] has a NaN end")
-            if lo - up > 1e-9 * abs(up):
-                raise ValueError(f"invalid bracket [{lo}, {up}]")
-            lo = up
+        if not 0.0 <= lo <= up:  # a negative or NaN end, or an inversion
+            raise ValueError(f"invalid bracket [{lo}, {up}] ({self.method})")
         if self.exact and up - lo > 1e-9 * up:
             raise ValueError(f"bracket [{lo}, {up}] too wide to be exact")
         object.__setattr__(self, "lower", lo)
@@ -179,12 +177,13 @@ class NormBracket:
 
     @classmethod
     def searched(cls, lower: float, method: str, seed: int = 0, cap: float = math.inf) -> "NormBracket":
-        """The bracket of a witnessed search value `lower` under a rigorous bound `cap`.
+        """The bracket of a witnessed search value `lower` under a floating-point bound `cap`.
 
-        The upper end is min(lower * (1 + `ASCENT_SLACK`), cap); it is exact
-        only when the cap is within 1e-9 relative of the lower end, so a
-        search with no cap is never exact.
+        The upper end is min(lower * (1 + `ASCENT_SLACK`), cap * (1 + `_ROUNDING`)),
+        the cap rounded outward once; it is exact only when that rounded cap is
+        within 1e-9 relative of the lower end, so a search with no cap is never exact.
         """
+        cap *= 1.0 + _ROUNDING
         upper = min(lower * (1.0 + ASCENT_SLACK), cap)
         return cls(lower, upper, cap - lower <= 1e-9 * lower, method, seed)
 
@@ -471,8 +470,9 @@ def norm_cohen(s: VecSeq, p, seed: int = 0) -> NormBracket:
     cutting planes on the dual program give a dual lower end, divided by
     the heuristic weak-p* upper end of its functional, and the decomposition
     its KKT multipliers price as the upper end (capped by the strong-1
-    norm). The width floor is about `ASCENT_SLACK`, the weak-p* slack,
-    unless that bracket is exact (q = inf).
+    norm, then rounded outward by `_ROUNDING`). The lower end is kept under
+    it, since it divides by a heuristic weak-p* upper end. The width floor is
+    about `ASCENT_SLACK`, the weak-p* slack, unless that bracket is exact (q = inf).
     """
     p = _finite_exponent(p)
     if len(s) == 0 or not s.mat.any():
@@ -495,7 +495,7 @@ def norm_cohen(s: VecSeq, p, seed: int = 0) -> NormBracket:
 
     scale = norm_strong_p(s, p)
     lower, upper = _cohen_bracket(X / scale, q, p, seed)
-    upper = min(upper * scale, norm_strong_p(s, 1.0))
+    upper = min(upper * scale, norm_strong_p(s, 1.0)) * (1.0 + _ROUNDING)
     lower = min(lower * scale, upper)
     return NormBracket(lower, upper, False, "dual-ascent/decomposition-search", seed)
 

@@ -145,8 +145,8 @@ def lq_norm(a, q, axis=None):
     sums are taken unscaled, and a slice whose sum leaves [`_POW_MIN`,
     `_POW_MAX`] is recomputed with its own max scaled out. Where 1/q is
     inexact in floating point the unscaled root is off by up to
-    2^-53 |ln sum| relative (under 1e-13); callers that need exact
-    homogeneity scale by a power of two first.
+    2^-54 |ln sum| relative (under 3.7e-14), half an ulp of 1/q times
+    |ln sum|; callers that need exact homogeneity scale by a power of two first.
     """
     a = np.abs(np.asarray(a, dtype=float))
     qf = float(q)

@@ -230,6 +230,24 @@ def test_ideal_bad_shape_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("text", [
+    '{"domain":[{"dim":null,"q":"2"}],"codomain":{"dim":1,"q":"2"},"coeffs":[1.0]}',
+    '[1, 2]',
+    '{"domain":5,"codomain":{"dim":1,"q":"2"},"coeffs":[1.0]}',
+    '{"domain":[{"dim":1,"q":null}],"codomain":{"dim":1,"q":"2"},"coeffs":[[1.0]]}',
+], ids=["null-dim", "not-an-object", "domain-not-a-list", "null-exponent"])
+def test_ideal_malformed_operator_document_exits_2(tmp_path, capsys, text):
+    op_path = tmp_path / "bad.json"
+    op_path.write_text(text)
+    code, out, err = run_cli(
+        ["ideal", "--op-file", str(op_path), "--in-class", "weak", "--in-p", "1", "--k-max", "2"],
+        capsys,
+    )
+    assert code == 2
+    assert "cannot load operator" in err
+    assert out == ""
+
+
 def test_suite_run_growth_and_exit_zero(tmp_path, capsys):
     out_path = tmp_path / "growth.json"
     csv_path = tmp_path / "growth.csv"

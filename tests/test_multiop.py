@@ -496,24 +496,42 @@ def test_op_norm_zero_linear_map_is_exact_zero(q, r):
 
 
 # SHA-256 of the bracket ends, exact flags, methods and witness bytes of
-# `op_norm` on 120 random bilinear and 60 random trilinear maps: the bits of
-# the walk that the summing-norm climb rests on
+# `op_norm` on 240 random linear, 120 bilinear and 60 trilinear maps: the
+# bits of the walk that the summing-norm climb rests on
 OP_NORM_WALK_SHA256 = {
-    2: "bf883b6214323d13889b1b1147bb35e9ed95a6de9d4f760d9ec5e13e8e9a21e6",
-    3: "cd8255a518773e43e32a8bff113d84010cfab9a5c6ef05568a00c003cb7e6d79",
+    1: "4413bcbfb0019a557a3a1019df332410592c0dc1785e73c313d06b7d7e7a75ff",
+    2: "44203b3168f65548ba32fc17e6d86b1987722aab182b4f786d67fcafb8064b8c",
+    3: "00b6269da2538a95d9e5906c6bdca27172b1844d7ff9a1fb953b593d91f5adc0",
 }
 
 
-@pytest.mark.parametrize("arity, count", [(2, 120), (3, 60)])
+@pytest.mark.parametrize("arity, count", [(1, 240), (2, 120), (3, 60)])
 def test_op_norm_walk_bits_are_pinned(arity, count):
     rng = np.random.default_rng([19, arity])
     h = hashlib.sha256()
     for i in range(count):
-        est = op_norm(random_operator(rng, arity, (1, 2, 3, 4), DEFAULT_EXPONENTS), seed=i)
+        A = random_operator(rng, arity, (1, 2, 3, 4), DEFAULT_EXPONENTS)
+        est = op_norm(A, seed=i)
         b = est.bracket
+        # a bracket never edits its lower end: it is the witness's value, bit for bit
+        assert b.lower == lq_norm(evaluate(A, est.witness).coords, A.codomain.q), i
         h.update(f"{b.lower.hex()} {b.upper.hex()} {b.exact} {b.method};".encode())
         h.update(b"".join(x.coords.tobytes() for x in est.witness))
     assert h.hexdigest() == OP_NORM_WALK_SHA256[arity]
+
+
+@pytest.mark.parametrize("scale", [0, 600, -600])
+def test_op_norm_tight_cap_stays_over_its_witness_at_every_scale(scale):
+    # a product of l_3 functionals meets its Hoelder cap; taken from unscaled
+    # power sums, the cap fell hundreds of ulps short at 2^600, so its slices
+    # are scaled before it is rounded outward, and it stays over the witness
+    rng = np.random.default_rng(9)
+    for i in range(12):
+        phis = [Vector(Space(3, 3).dual, np.ldexp(rng.standard_normal(3), scale // 3)) for _ in range(3)]
+        A = finite_type(phis, Vector(Space(2, (2, 3, Fraction(3, 2))[i % 3]), rng.standard_normal(2)))
+        est = op_norm(A, seed=i)
+        assert est.bracket.lower == lq_norm(evaluate(A, est.witness).coords, A.codomain.q), i
+        assert est.bracket.exact, i
 
 
 def test_op_norm_contractions_match_tensordot():

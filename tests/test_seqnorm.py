@@ -356,23 +356,33 @@ def test_bracket_checks_are_relative_at_every_scale():
     for c in (1.0, 2.0**-600):
         with pytest.raises(ValueError, match="invalid"):
             NormBracket(1.001 * c, c, False, "test")
-    # a last-bit inversion is roundoff: the lower end is set to the upper one
+    # a bracket is never edited: a last-bit inversion is an error at every scale
     for c in (1.0, 2.0**-600, 2.0**600):
         up = 0.7 * c
-        b = NormBracket(np.nextafter(up, math.inf), up, True, "test")
-        assert (b.lower, b.upper) == (up, up)
+        with pytest.raises(ValueError, match="invalid"):
+            NormBracket(np.nextafter(up, math.inf), up, True, "test")
+    # and so is a negative end, however small
+    for lo, up in ((-1e-13, 1.0), (-1e-13, 0.0), (-1.0, -0.5)):
+        with pytest.raises(ValueError, match="invalid"):
+            NormBracket(lo, up, False, "test")
 
 
 def test_searched_bracket_takes_the_slack_under_its_cap():
-    slack = 1.0 + seqnorm.ASCENT_SLACK
+    slack, rounding = 1.0 + seqnorm.ASCENT_SLACK, 1.0 + seqnorm._ROUNDING
     b = NormBracket.searched(2.0, "search", seed=5)
     assert (b.lower, b.upper, b.exact, b.method, b.seed) == (2.0, 2.0 * slack, False, "search", 5)
-    # the cap is the upper end when it is below the slack, and the bracket
-    # is exact only when the cap is within 1e-9 relative of the lower end
+    # the cap, rounded outward, is the upper end when it is below the slack,
+    # and the bracket is exact only when it is within 1e-9 relative of the lower end
     for cap, exact in ((3.0, False), (2.001, False), (2.0 * (1.0 + 2e-9), False),
                        (2.0 * (1.0 + 5e-10), True), (2.0, True)):
         b = NormBracket.searched(2.0, "search", cap=cap)
-        assert (b.upper, b.exact) == (min(2.0 * slack, cap), exact), cap
+        assert (b.upper, b.exact) == (min(2.0 * slack, cap * rounding), exact), cap
+    # a cap that roundoff put one ulp under the lower end is rounded back over it
+    for c in (1.0, 2.0**-600, 2.0**600):
+        lower = 0.7 * c
+        cap = np.nextafter(lower, 0.0)
+        b = NormBracket.searched(lower, "search", cap=cap)
+        assert (b.lower, b.upper, b.exact) == (lower, cap * rounding, True), c
     # the same verdicts at any scale
     for c in (2.0**-600, 2.0**600):
         assert not NormBracket.searched(2.0 * c, "search", cap=2.001 * c).exact
