@@ -83,7 +83,27 @@ def space_to_dict(s: Space) -> dict:
 
 
 def space_from_dict(d: dict) -> Space:
-    return Space(int(d["dim"]), as_exponent(d["q"]))
+    return Space(d["dim"], as_exponent(d["q"]))
+
+
+def number_array(raw: Any, what: str) -> np.ndarray:
+    """`raw`, JSON numbers nested in lists, as a float array.
+
+    A string, boolean or null entry, or an integer too large for a float,
+    is a `ValueError` naming `what`: `np.asarray` would read ``"1"`` and
+    ``true`` as 1.0, and raise `OverflowError` on the integer.
+    """
+    todo = [raw]
+    while todo:
+        x = todo.pop()
+        if isinstance(x, list):
+            todo.extend(reversed(x))  # the first bad entry in reading order is named
+        elif isinstance(x, bool) or not isinstance(x, (int, float)):
+            raise ValueError(f"{what} entry {x!r} is not a number")
+    try:
+        return np.asarray(raw, dtype=float)
+    except OverflowError:
+        raise ValueError(f"{what} has an integer entry too large for a float") from None
 
 
 def multiop_to_dict(A: MultiOp) -> dict:
@@ -98,9 +118,12 @@ def multiop_to_dict(A: MultiOp) -> dict:
 def multiop_from_dict(d: dict) -> MultiOp:
     domain = tuple(space_from_dict(s) for s in d["domain"])
     codomain = space_from_dict(d["codomain"])
-    coeffs = np.asarray(d["coeffs"], dtype=float)
+    coeffs = number_array(d["coeffs"], "coeffs")
     if "shape" in d:
-        coeffs = coeffs.reshape(tuple(int(n) for n in d["shape"]))
+        try:
+            coeffs = coeffs.reshape(d["shape"])
+        except TypeError as exc:  # an entry that is not an int
+            raise TypeError(f"shape {d['shape']!r}: {exc}") from None
     return MultiOp(domain, codomain, coeffs)
 
 

@@ -22,6 +22,7 @@ from ._jsonio import (
     bracket_to_dict,
     dumps,
     multiop_from_dict,
+    number_array,
     parse_space,
 )
 from .idealnorm import IdealSpec, ideal_norm
@@ -97,11 +98,7 @@ def _load_sequence(args) -> VecSeq:
         rows = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise _CliError(f"sequence is not valid JSON: {exc}") from exc
-    space = parse_space(args.space)
-    try:
-        return VecSeq(space, rows)
-    except TypeError as exc:  # a ValueError already ends in exit 2
-        raise _CliError(str(exc)) from exc
+    return VecSeq(parse_space(args.space), number_array(rows, "sequence"))
 
 
 def _cmd_norm(args) -> int:

@@ -48,10 +48,12 @@ def as_exponent(q) -> Exponent:
     Accepts ints, floats, Fractions and strings like ``"4/3"`` or ``"inf"``.
     Finite values become `Fraction` (floats convert exactly via their binary
     expansion), infinity stays `math.inf`. Anything else, a zero
-    denominator, NaN or a value below 1 included, is a `ValueError`.
+    denominator, NaN, a value below 1 or one too large for a float (such as
+    ``"1e400"``) included, is a `ValueError`.
     """
     if isinstance(q, Fraction) and q.numerator >= q.denominator:
         return q  # already normalized; q >= 1 checked exactly
+    given = q
     if isinstance(q, str):
         if q.strip().lower() in ("inf", "infinity", "oo"):
             return INF
@@ -63,6 +65,10 @@ def as_exponent(q) -> Exponent:
         return INF
     if not q >= 1:  # NaN and -inf stop here, before a Fraction conversion they would fail
         raise ValueError(f"exponent must satisfy q >= 1, got {q}")
+    try:
+        float(q)  # every kernel computes in floats
+    except OverflowError:
+        raise ValueError(f"exponent {given!r} is too large for a float") from None
     return Fraction(q)
 
 
@@ -91,6 +97,8 @@ class Space:
     q: Exponent
 
     def __post_init__(self):
+        if isinstance(self.dim, bool) or not isinstance(self.dim, (int, np.integer)):
+            raise TypeError(f"dim must be an integer, got {self.dim!r}")
         if self.dim < 1:
             raise ValueError(f"dim must be >= 1, got {self.dim}")
         object.__setattr__(self, "q", as_exponent(self.q))

@@ -3,10 +3,10 @@
 Each suite expands a config into independent cases, runs them one after
 another in order, and returns a `SuiteReport` whose per-case records carry
 the numbers needed to recheck every verdict offline: each holds the number
-its verdict was read from (a worst margin or ratio) under a key that
-`_case_note` reads. A sampled case is a margin function of a generator and
-a trial index, turned into a verdict by `_gated`: the worst margin over
-the case's trials, read against a gate. Every pass/fail threshold is a
+its verdict was read from under `value` (`max_ratio_over_ceiling` for a
+transport case). Most cases are a margin function of a generator and a
+trial index, turned into a verdict by `_gated`: the worst margin over the
+case's trials, read against a gate. Every pass/fail threshold is a
 constant: `_EXACT_TOL`, `TRANSPORT_SLACK`, `_BAND`, `_ATTAINMENT_FLOOR` and
 the literal gates in the builders. No config moves one.
 """
@@ -133,7 +133,7 @@ class SuiteReport:
 
 
 def _case_note(c: dict) -> str:
-    for key in ("max_ratio_over_ceiling", "ratio", "residual", "excess", "value"):
+    for key in ("max_ratio_over_ceiling", "value"):
         if key in c:
             v = c[key]
             return f"{key}={v:.6g}" if isinstance(v, float) else f"{key}={v}"
@@ -255,12 +255,15 @@ def _gated(seed: int, key: int, trials: int, margin: Callable, gate: float) -> d
 
     Every draw comes from one generator, `default_rng([seed, key])`. The
     case passes when the worst margin is at most `gate`; the record holds
-    that worst margin and the trial count.
+    that worst margin and the trial count. A NaN margin is the worst of
+    all, wherever it falls, so it fails the case and is recorded.
     """
     rng = np.random.default_rng([seed, key])
     worst = -math.inf
     for t in range(trials):
-        worst = max(worst, margin(rng, t))
+        m = margin(rng, t)
+        if m > worst or math.isnan(m):
+            worst = m
     return {"passed": worst <= gate, "value": worst, "trials": trials}
 
 
@@ -362,14 +365,11 @@ def _suite_linear_stability(
 def _transport_cases(name: str, arities, seed: int, report: Callable) -> CaseList:
     """One case per arity n, the i-th listed: the verdict of `report(arity=n, seed=seed + i)`."""
 
-    def one_arity(n: int, i: int) -> Callable[[], dict]:
-        def case() -> dict:
-            rep = report(arity=n, seed=seed + i)
-            return {"passed": rep.passed, **asdict(rep)}
+    def case(n: int, i: int) -> dict:
+        rep = report(arity=n, seed=seed + i)
+        return {"passed": rep.passed, **asdict(rep)}
 
-        return case
-
-    return [(f"{name}-n{n}", one_arity(n, i)) for i, n in enumerate(arities)]
+    return [(f"{name}-n{n}", partial(case, n, i)) for i, n in enumerate(arities)]
 
 
 def _suite_weak1_stability(
@@ -447,37 +447,27 @@ def _suite_decoupling(
     exps = tuple(map(as_exponent, exponents))
     share = _share(trials, len(arities), "trials")
 
-    def one_arity(n: int, i: int) -> Callable[[], dict]:
-        def case() -> dict:
-            rng = np.random.default_rng([seed, i])
-            worst = 0.0
-            for _ in range(share):
-                k = int(rng.integers(1, k_max + 1))
-                A = random_operator(rng, n, dims, exps)
-                seqs = [random_vecseq(rng, s, k) for s in A.domain]
-                worst = max(worst, decoupling_check(A, seqs))
-            return {"passed": worst <= 1e-10, "residual": worst, "trials": share}
+    def residual(n: int, rng, t) -> float:
+        k = int(rng.integers(1, k_max + 1))
+        A = random_operator(rng, n, dims, exps)
+        return decoupling_check(A, [random_vecseq(rng, s, k) for s in A.domain])
 
-        return case
-
-    return [(f"decoupling-n{n}", one_arity(n, i)) for i, n in enumerate(arities)]
+    return [
+        (f"decoupling-n{n}", partial(_gated, seed, i, share, partial(residual, n), 1e-10))
+        for i, n in enumerate(arities)
+    ]
 
 
 def _suite_holder_identity(seed, trials=100, k_max=3, dims=(1, 2, 3)) -> CaseList:
-    def identity_norms() -> dict:
-        worst = 0.0
-        for n, ps, p_out in [
-            (2, (2, 2), 1),
-            (2, (Fraction(3, 2), 3), 1),
-            (2, (2, 2), Fraction(3, 2)),
-            (3, (3, 3, 3), 1),
-        ]:
-            spec = IdealSpec(
-                tuple(SeqClassSpec.strong(p) for p in ps), SeqClassSpec.strong(p_out)
-            )
-            est = ideal_norm(scalar_multiplication(n), spec, k_max, restarts=4, seed=seed)
-            worst = max(worst, abs(est.bracket.lower - 1.0))
-        return {"passed": worst <= _EXACT_TOL, "value": worst}
+    # (arity, input exponents, output exponent) at which scalar multiplication has ideal norm one
+    identities = [(2, (2, 2), 1), (2, (Fraction(3, 2), 3), 1),
+                  (2, (2, 2), Fraction(3, 2)), (3, (3, 3, 3), 1)]
+
+    def identity_norm(rng, t) -> float:
+        n, ps, p_out = identities[t]
+        spec = IdealSpec(tuple(SeqClassSpec.strong(p) for p in ps), SeqClassSpec.strong(p_out))
+        est = ideal_norm(scalar_multiplication(n), spec, k_max, restarts=4, seed=seed)
+        return abs(est.bracket.lower - 1.0)
 
     def random_ops() -> dict:
         rng = np.random.default_rng([seed, 7])
@@ -500,7 +490,8 @@ def _suite_holder_identity(seed, trials=100, k_max=3, dims=(1, 2, 3)) -> CaseLis
             "trials": trials,
         }
 
-    return [("identity-norm-one", identity_norms), ("ideal=op-band", random_ops)]
+    identity = partial(_gated, seed, 6, len(identities), identity_norm, _EXACT_TOL)
+    return [("identity-norm-one", identity), ("ideal=op-band", random_ops)]
 
 
 def _suite_ideal_axioms(
@@ -538,16 +529,13 @@ def _suite_ideal_axioms(
         est = ideal_norm(finite_type([phi1, phi2], b), spec, k_max, restarts=2, seed=seed + t)
         return est.bracket.lower / expected - 1.0
 
-    def scalar_compat() -> dict:
-        worst = max(
-            scalar_compatibility_excess(spec, trials=50, seed=seed) for spec in specs
-        )
-        return {"passed": worst <= 1e-9, "excess": worst}
+    def scalar_compat(rng, t) -> float:
+        return scalar_compatibility_excess(specs[t], trials=50, seed=seed)
 
     return [
         ("composition-inequality", partial(_gated, seed, 11, half, composition, TRANSPORT_SLACK)),
         ("finite-type-bound", partial(_gated, seed, 12, half, finite_type_bound, TRANSPORT_SLACK)),
-        ("scalar-product-embedding", scalar_compat),
+        ("scalar-product-embedding", partial(_gated, seed, 13, len(specs), scalar_compat, 1e-9)),
     ]
 
 
@@ -558,20 +546,11 @@ def _suite_limit_stability(
     half = _share(families, 2, "families")
     ms = (1, 10, 1000, 1_000_000)
 
-    def limit_case(key: int, spec: IdealSpec, count: int, members: Callable) -> Callable[[], dict]:
-        def case() -> dict:
-            rng = np.random.default_rng([seed, key])
-            bad, worst = 0, -math.inf
-            for t in range(count):
-                A = random_operator(rng, 2, dims, exps)
-                rep = limit_stability_experiment(
-                    members(rng, A), A, spec, k_max, seed=seed + t, restarts=restarts
-                )
-                bad += 0 if rep.passed else 1
-                worst = max(worst, rep.margin)
-            return {"passed": bad == 0, "value": worst, "violations": bad, "families": count}
-
-        return case
+    def margin(spec: IdealSpec, members: Callable, rng, t) -> float:
+        A = random_operator(rng, 2, dims, exps)
+        return limit_stability_experiment(
+            members(rng, A), A, spec, k_max, seed=seed + t, restarts=restarts
+        ).margin
 
     def scaled(rng, A: MultiOp) -> list[MultiOp]:
         return [MultiOp(A.domain, A.codomain, (1 - 1 / m) * A.coeffs) for m in ms]
@@ -582,8 +561,9 @@ def _suite_limit_stability(
 
     weak1, strong = IdealSpec.uniform(SeqClassSpec.weak(1), 2), IdealSpec.holder("strong", (2, 2))
     return [
-        ("scaled-families", limit_case(21, weak1, half, scaled)),
-        ("perturbation-families", limit_case(22, strong, families - half, perturbed)),
+        ("scaled-families", partial(_gated, seed, 21, half, partial(margin, weak1, scaled), 0.0)),
+        ("perturbation-families",
+         partial(_gated, seed, 22, families - half, partial(margin, strong, perturbed), 0.0)),
     ]
 
 

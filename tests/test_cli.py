@@ -107,6 +107,23 @@ def test_norm_non_finite_sequence_exits_2(capsys):
         assert out == ""
 
 
+@pytest.mark.parametrize("seq, named", [
+    ('[["1","2"],[true,0]]', "sequence entry '1' is not a number"),
+    ("[[1,2],[true,0]]", "sequence entry True is not a number"),
+    ("[[1,2],[null,0]]", "sequence entry None is not a number"),
+    ("[[1,2],[1" + "0" * 400 + ",0]]", "sequence has an integer entry too large for a float"),
+])
+@pytest.mark.parametrize("source", ["--seq", "--seq-file"])
+def test_norm_entry_that_is_not_a_number_exits_2(seq, named, source, tmp_path, capsys):
+    # numpy would read "1" and true as 1.0, null as NaN, and overflow on the integer
+    if source == "--seq-file":
+        (tmp_path / "seq.json").write_text(seq)
+        seq = str(tmp_path / "seq.json")
+    code, out, err = run_cli(["norm", "--class", "sup", "--space", "l2:2", source, seq], capsys)
+    assert code == 2 and out == ""
+    assert named in err
+
+
 def test_norm_unreadable_seq_file_exits_2(tmp_path, capsys):
     for path in (tmp_path / "missing.json", tmp_path):
         code, out, err = run_cli(
@@ -235,7 +252,12 @@ def test_ideal_bad_shape_exits_2(tmp_path, capsys):
     '[1, 2]',
     '{"domain":5,"codomain":{"dim":1,"q":"2"},"coeffs":[1.0]}',
     '{"domain":[{"dim":1,"q":null}],"codomain":{"dim":1,"q":"2"},"coeffs":[[1.0]]}',
-], ids=["null-dim", "not-an-object", "domain-not-a-list", "null-exponent"])
+    '{"domain":[{"dim":2.9,"q":"2"}],"codomain":{"dim":1,"q":"2"},"coeffs":[[1.0],[2.0]]}',
+    '{"domain":[{"dim":true,"q":"2"}],"codomain":{"dim":1,"q":"2"},"coeffs":[[1.0]]}',
+    '{"domain":[{"dim":1,"q":"2"}],"codomain":{"dim":1,"q":"2"},"shape":[1.7,1],"coeffs":[1.0]}',
+    '{"domain":[{"dim":1,"q":"2"}],"codomain":{"dim":2,"q":"2"},"coeffs":[["1",true]]}',
+], ids=["null-dim", "not-an-object", "domain-not-a-list", "null-exponent", "float-dim",
+        "bool-dim", "float-shape", "string-and-bool-coeffs"])
 def test_ideal_malformed_operator_document_exits_2(tmp_path, capsys, text):
     op_path = tmp_path / "bad.json"
     op_path.write_text(text)
@@ -372,6 +394,8 @@ def test_suite_config_checking_nothing_exits_2(suite, values, key, tmp_path, cap
         ("growth", {"curves": [{"p": "2", "n": 1, "k_list": [1, 4]}]}, "curves"),
         ("growth", {"curves": [{"p": "inf", "n": 2, "k_list": [1, 4]}]}, "curves"),
         ("growth", {"curves": [{"p": "1", "n": 2, "k_list": [1, 4]}]}, "curves"),
+        ("seqnorm-axioms", {"exponents": ["1e400"]}, "exponents"),
+        ("growth", {"curves": [{"p": "1e400", "n": 2, "k_list": [1, 4]}]}, "curves"),
     ],
 )
 def test_suite_config_mistyped_value_exits_2(suite, values, key, tmp_path, capsys):
@@ -410,6 +434,19 @@ def test_zero_denominator_exponent_exits_2(args, tmp_path, capsys):
     assert "zero denominator" in err
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--class", "strong", "--p", "1e400", "--space", "l2:2"],
+        ["--class", "sup", "--space", "l1e400:2"],
+    ],
+)
+def test_exponent_too_large_for_a_float_exits_2(args, capsys):
+    code, out, err = run_cli(["norm", *args, "--seq", "[[1,2],[3,4]]"], capsys)
+    assert code == 2 and out == ""
+    assert "'1e400' is too large for a float" in err
+
+
 def test_case_records_recompute_verdict(tmp_path, capsys):
     out_path = tmp_path / "rep.json"
     code, _, _ = run_cli(
@@ -446,7 +483,10 @@ def test_every_case_records_the_number_of_its_verdict(suite):
     # `_case_note` names the first of its keys a record holds, "" if none
     report = run_suite({"suite": suite, **_TINY[suite]})
     notes = {c["name"]: _case_note(c).partition("=") for c in report.cases}
-    unread = [name for name, (key, _, x) in notes.items() if not key or not math.isfinite(float(x))]
+    unread = [
+        name for name, (key, _, x) in notes.items()
+        if key not in ("max_ratio_over_ceiling", "value") or not math.isfinite(float(x))
+    ]
     assert unread == []
 
 
@@ -462,6 +502,10 @@ def test_gated_reads_the_worst_scripted_margin_against_its_gate():
     assert seen == list(zip([0, 1, 2], np.random.default_rng([4, 7]).random(3)))
     seen.clear()
     assert _gated(4, 7, 3, margin, 2.0) == {"passed": True, "value": 2.0, "trials": 3}  # equality passes
+    # a NaN margin, first or in the middle, is the worst: `max(worst, nan)` keeps `worst`
+    for margins in ([math.nan, -1.0, 0.5], [-1.0, math.nan, 0.5]):
+        case = _gated(4, 7, 3, lambda rng, t: margins[t], 1.0)
+        assert case["passed"] is False and math.isnan(case["value"]) and case["trials"] == 3, margins
 
 
 def test_parse_space_literals():

@@ -19,11 +19,11 @@ TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
 REPORT_SHA256 = {
     "small-cohen-stability-0": "c2fc0817ae57942c3a64f4be1e3a83c4403802810358a1c8f1ddcaef29758e36",
-    "small-decoupling-0": "461e900032fa8d855505686a5fa8496c3e6371b475263f63b06f5ded6226ab07",
+    "small-decoupling-0": "435d9ab75a00b2a983272184ff4a2354a1d2f8df6ed85e647923bfe7fd758138",
     "small-growth-0": "1c4ba527e79d2e4df89a706ca2c3aa7769e6a670d1f08466987c98c86b64c36e",
-    "small-holder-identity-0": "5c99dda3c5a8492c03ec5f647a2b1211b7e11149ef67b7405744b5e7fc7f52a3",
-    "small-ideal-axioms-0": "3bfdb01efc2c348d28b1a34264b567e7a2f31c63f57b4dc239d922343ea72471",
-    "small-limit-stability-0": "d9c422d0284f29f383b74db88b557e786b17163b16df2f491ac0a01d8240486c",
+    "small-holder-identity-0": "72982484d25f79839f09f365baf2d1bdc89ea53af3ba3ac421c9210338361d1c",
+    "small-ideal-axioms-0": "722840354d372ff5c495be3a2997faf440aeab11eda8692869deb03ff636bc36",
+    "small-limit-stability-0": "74005aa03828cade94ec0f66d7299cca4ef4aabdd042a50ec346a1d60d5d3418",
     "small-linear-stability-0": "82374a4d856a7c683252f58b14c548b78c951d4aa4d5cc4f25d168c206268b79",
     "small-rad-stability-0": "a30c2fe6bd1222272fbd26c724edf955bdf6b5cfd09b5eb2603752b2336f37f5",
     "small-seqnorm-axioms-0": "fd76b891499872067648f1768259d9b65c13d7e23c0edfc01845ba946f8b1046",

@@ -155,6 +155,20 @@ def test_exponent_validation():
         Space(0, 2)
 
 
+@pytest.mark.parametrize("q", ["1e400", 10**400, "1" + "0" * 400 + "/3"], ids=["string", "int", "ratio"])
+def test_exponent_too_large_for_a_float_is_rejected(q):
+    # a finite Fraction that no kernel can use: float(q) overflows
+    with pytest.raises(ValueError, match="too large for a float"):
+        as_exponent(q)
+
+
+@pytest.mark.parametrize("dim", [2.5, 2.0, True, "2", None])
+def test_space_dim_must_be_an_integer(dim):
+    with pytest.raises(TypeError, match="dim must be an integer"):
+        Space(dim, 2)
+    assert Space(np.int64(2), 2) == Space(2, 2)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_vector_rejects_non_finite(bad):
     with pytest.raises(ValueError, match="non-finite"):
