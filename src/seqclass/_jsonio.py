@@ -86,12 +86,10 @@ def space_from_dict(d: dict) -> Space:
     return Space(d["dim"], as_exponent(d["q"]))
 
 
-def number_array(raw: Any, what: str) -> np.ndarray:
-    """`raw`, JSON numbers nested in lists, as a float array.
+def number_array(raw: Any, what: str) -> Any:
+    """`raw`, JSON numbers nested in lists, unconverted: the constructor it goes to converts it.
 
-    A string, boolean or null entry, or an integer too large for a float,
-    is a `ValueError` naming `what`: `np.asarray` would read ``"1"`` and
-    ``true`` as 1.0, and raise `OverflowError` on the integer.
+    A string, boolean or null entry is a `ValueError` naming `what`: numpy reads "1" and true as 1.0.
     """
     todo = [raw]
     while todo:
@@ -100,10 +98,7 @@ def number_array(raw: Any, what: str) -> np.ndarray:
             todo.extend(reversed(x))  # the first bad entry in reading order is named
         elif isinstance(x, bool) or not isinstance(x, (int, float)):
             raise ValueError(f"{what} entry {x!r} is not a number")
-    try:
-        return np.asarray(raw, dtype=float)
-    except OverflowError:
-        raise ValueError(f"{what} has an integer entry too large for a float") from None
+    return raw
 
 
 def multiop_to_dict(A: MultiOp) -> dict:
@@ -121,7 +116,7 @@ def multiop_from_dict(d: dict) -> MultiOp:
     coeffs = number_array(d["coeffs"], "coeffs")
     if "shape" in d:
         try:
-            coeffs = coeffs.reshape(d["shape"])
+            coeffs = np.reshape(coeffs, d["shape"])
         except TypeError as exc:  # an entry that is not an int
             raise TypeError(f"shape {d['shape']!r}: {exc}") from None
     return MultiOp(domain, codomain, coeffs)

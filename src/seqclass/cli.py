@@ -7,7 +7,8 @@ Subcommands:
     suite list  enumerate the available suites
 
 Exit codes: 0 all checks passed, 1 violations or numeric failures were
-recorded, 2 usage or config errors.
+recorded, 2 usage, input or config errors, an unwritable output path
+included.
 """
 
 from __future__ import annotations
@@ -138,7 +139,7 @@ def _cmd_ideal(args) -> int:
         "witness": [w.mat.tolist() for w in est.witness],
     }
     if args.out:
-        Path(args.out).write_text(dumps(doc))
+        _write(args.out, dumps(doc))
     if args.csv:
         _write_csv(args.csv, [("ideal", spec.describe(), k, r) for k, r in est.ratio_by_k])
     if args.json:
@@ -156,11 +157,19 @@ def _cmd_ideal(args) -> int:
     return OK
 
 
+def _write(path: str, text: str) -> None:
+    """Write an output file; a path that cannot be written is a usage error, not a violation."""
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise _CliError(f"cannot write {path}: {exc}") from exc
+
+
 def _write_csv(path: str, rows) -> None:
     lines = ["suite,case,k,ratio"]
     for suite, case, k, ratio in rows:
         lines.append(f"{suite},{case},{k},{ratio!r}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write(path, "\n".join(lines) + "\n")
 
 
 def _cmd_suite_run(args) -> int:
@@ -183,7 +192,7 @@ def _cmd_suite_run(args) -> int:
 
     out_path = args.out or config.get("output_path")
     if out_path:
-        Path(out_path).write_text(dumps(report.to_dict()))
+        _write(out_path, dumps(report.to_dict()))
     if args.csv:
         _write_csv(args.csv, report.csv_rows())
     if args.json:

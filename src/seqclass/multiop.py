@@ -16,7 +16,7 @@ import numpy as np
 
 from . import _optim
 from ._optim import ball_max, sign_patterns
-from .spaces import Space, Vector, _max_scaled, as_exponent, conjugate_exponent, lq_norm
+from .spaces import Space, Vector, _float_array, _max_scaled, as_exponent, conjugate_exponent, lq_norm
 from .seqnorm import NormBracket, VecSeq
 
 __all__ = [
@@ -45,14 +45,8 @@ class MultiOp:
         object.__setattr__(self, "domain", dom)
         if len(dom) < 1:
             raise ValueError("operator arity must be >= 1")
-        c = np.array(self.coeffs, dtype=float)
-        if not np.isfinite(c).all():
-            raise ValueError("operator has non-finite coefficients (NaN or inf)")
-        expected = tuple(s.dim for s in dom) + (self.codomain.dim,)
-        if c.shape != expected:
-            raise ValueError(f"coefficient shape {c.shape} does not match {expected}")
-        c.flags.writeable = False
-        object.__setattr__(self, "coeffs", c)
+        shape = tuple(s.dim for s in dom) + (self.codomain.dim,)
+        object.__setattr__(self, "coeffs", _float_array(self.coeffs, shape, "operator"))
 
     @property
     def arity(self) -> int:

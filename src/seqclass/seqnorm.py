@@ -21,7 +21,7 @@ import numpy as np
 
 from . import _optim
 from ._optim import DEFAULT_BLOCK, ball_max, power_iterate, sign_patterns, sign_table, unit_scaled
-from .spaces import INF, Space, as_exponent, conjugate_exponent, dual_witness, lq_norm
+from .spaces import INF, Space, _float_array, as_exponent, conjugate_exponent, dual_witness, lq_norm
 
 __all__ = [
     "ASCENT_SLACK",
@@ -54,25 +54,16 @@ RAD_MC_SAMPLES = 10_000
 
 @dataclass(frozen=True, eq=False)
 class VecSeq:
-    """A finite sequence of k vectors in one space, stored as a k x d matrix."""
+    """A finite sequence of k >= 0 vectors in one space: a (k, space.dim) matrix, or [] when k = 0."""
 
     space: Space
     mat: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        m = np.array(self.mat, dtype=float)
-        if not np.isfinite(m).all():
-            raise ValueError("sequence has non-finite entries (NaN or inf)")
-        if m.size == 0:
-            m = m.reshape(0, self.space.dim)
-        if m.ndim == 1 and self.space.dim == 1:
-            m = m.reshape(-1, 1)
-        if m.ndim != 2 or m.shape[1] != self.space.dim:
-            raise ValueError(
-                f"matrix shape {m.shape} does not match space dim {self.space.dim}"
-            )
-        m.flags.writeable = False
-        object.__setattr__(self, "mat", m)
+        m = self.mat
+        if isinstance(m, (list, tuple)) and not m:  # numpy reads [] as shape (0,)
+            m = np.empty((0, self.space.dim))
+        object.__setattr__(self, "mat", _float_array(m, (None, self.space.dim), "sequence"))
 
     def __len__(self) -> int:
         return self.mat.shape[0]

@@ -118,6 +118,23 @@ class Space:
         return f"l[{q}]^{self.dim}"
 
 
+def _float_array(a, shape: tuple, what: str) -> np.ndarray:
+    """`a` as a read-only float array of shape `shape`, whose first entry may be None for any length.
+
+    An integer too large for a float, a NaN or inf entry or another shape is a `ValueError` naming `what`.
+    """
+    try:
+        c = np.array(a, dtype=float)
+    except OverflowError:
+        raise ValueError(f"{what} has an integer entry too large for a float") from None
+    if not np.isfinite(c).all():
+        raise ValueError(f"{what} has non-finite entries (NaN or inf)")
+    if c.ndim != len(shape) or c.shape[1:] != shape[1:] or shape[0] not in (None, c.shape[0]):
+        raise ValueError(f"{what} shape {c.shape} does not match {shape}".replace("None", "k"))
+    c.flags.writeable = False
+    return c
+
+
 @dataclass(frozen=True, eq=False)
 class Vector:
     """A point of a `Space`; coords is an immutable float array."""
@@ -126,15 +143,7 @@ class Vector:
     coords: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        c = np.array(self.coords, dtype=float)
-        if not np.isfinite(c).all():
-            raise ValueError("vector has non-finite entries (NaN or inf)")
-        if c.shape != (self.space.dim,):
-            raise ValueError(
-                f"coords shape {c.shape} does not match dim {self.space.dim}"
-            )
-        c.flags.writeable = False
-        object.__setattr__(self, "coords", c)
+        object.__setattr__(self, "coords", _float_array(self.coords, (self.space.dim,), "vector"))
 
     @property
     def norm(self) -> float:

@@ -124,6 +124,20 @@ def test_norm_entry_that_is_not_a_number_exits_2(seq, named, source, tmp_path, c
     assert named in err
 
 
+@pytest.mark.parametrize("seq, shape", [
+    ("[[]]", "(1, 0)"), ("[[],[]]", "(2, 0)"), ("[[1,2,3]]", "(1, 3)"), ("[1,2]", "(2,)"),
+], ids=["one-empty-row", "two-empty-rows", "long-row", "a-bare-vector"])
+def test_norm_rows_of_the_wrong_length_exit_2(seq, shape, capsys):
+    code, out, err = run_cli(["norm", "--class", "sup", "--space", "l2:2", "--seq", seq], capsys)
+    assert code == 2 and out == ""
+    assert f"sequence shape {shape} does not match (k, 2)" in err
+
+
+def test_norm_empty_sequence_exits_0(capsys):
+    code, out, _ = run_cli(["norm", "--class", "sup", "--space", "l2:2", "--seq", "[]"], capsys)
+    assert code == 0 and "0 vectors" in out
+
+
 def test_norm_unreadable_seq_file_exits_2(tmp_path, capsys):
     for path in (tmp_path / "missing.json", tmp_path):
         code, out, err = run_cli(
@@ -303,6 +317,31 @@ def test_suite_report_determinism(tmp_path, capsys):
         assert code == 0
         texts.append(strip_wall_time(path.read_text()))
     assert texts[0] == texts[1]
+
+
+@pytest.mark.parametrize("command, bad", [
+    ("suite", "--out"), ("suite", "--csv"), ("suite", "output_path"), ("ideal", "--out"), ("ideal", "--csv"),
+])
+@pytest.mark.parametrize("path", ["missing/x.json", "."], ids=["missing-directory", "a-directory"])
+def test_unwritable_output_path_exits_2(command, bad, path, tmp_path, capsys):
+    # exit 1 would read as a violation; the command runs, then its write fails
+    target = str(tmp_path / path)
+    if command == "ideal":
+        op_path = tmp_path / "op.json"
+        op_path.write_text(dumps(multiop_to_dict(diag_operator(2, 2, 2))))
+        args = ["ideal", "--op-file", str(op_path), "--in-class", "weak", "--in-p", "1", "--k-max", "2"]
+    elif bad == "output_path":
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"suite": "growth", "output_path": target}))
+        args = ["suite", "run", str(cfg_path)]
+    else:
+        args = ["suite", "run", "growth"]
+    if bad != "output_path":
+        args += [bad, target]
+    code, out, err = run_cli(args, capsys)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot write {target}: ")
+    assert "Traceback" not in err
 
 
 def test_suite_config_file_round_trip(tmp_path, capsys):

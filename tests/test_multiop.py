@@ -98,6 +98,21 @@ def test_multiop_rejects_non_finite(bad):
         MultiOp((Space(2, 2), Space(3, 1)), Space(2, INF), coeffs)
 
 
+@pytest.mark.parametrize("make, field", [
+    (lambda a: Vector(Space(2, 2), a[0]), "coords"),
+    (lambda a: VecSeq(Space(2, 2), a), "mat"),
+    (lambda a: MultiOp((Space(2, 2),), Space(2, 1), a), "coeffs"),
+], ids=["Vector", "VecSeq", "MultiOp"])
+def test_arrays_are_read_only_copies(make, field):
+    a = np.array([[1.0, 2.0], [3.0, 4.0]])
+    c = getattr(make(a), field)
+    assert not c.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        c[0] = 5.0
+    a[0, 0] = 7.0  # the caller's array is not shared
+    assert c.ravel()[0] == 1.0
+
+
 def test_evaluate_batch_matches_pointwise():
     rng = np.random.default_rng(4)
     A = random_op(rng, [3, 2], 4)

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -102,6 +103,18 @@ def test_strong_p_examples():
 def test_vecseq_rejects_non_finite(bad):
     with pytest.raises(ValueError, match="non-finite"):
         VecSeq(Space(2, 2), [[1.0, 0.0], [bad, 2.0]])
+
+
+@pytest.mark.parametrize("dim, mat, shape", [
+    (2, [[]], "(1, 0)"),
+    (2, [[], []], "(2, 0)"),
+    (2, np.zeros((0, 5)), "(0, 5)"),
+    (1, np.array([1.0, 2.0]), "(2,)"),
+    (2, [[1, 2, 3]], "(1, 3)"),
+], ids=["one-empty-row", "two-empty-rows", "no-rows-of-5-on-dim-2", "1-d-on-dim-1", "long-row"])
+def test_vecseq_rejects_rows_of_the_wrong_length(dim, mat, shape):
+    with pytest.raises(ValueError, match=re.escape(f"sequence shape {shape} does not match (k, {dim})")):
+        VecSeq(Space(dim, 2), mat)
 
 
 # --- weak-p ------------------------------------------------------------------
@@ -224,6 +237,17 @@ def test_weak_bracket_sandwich_random():
         assert norm_sup(s) <= b.upper + 1e-9  # weak-p dominates the sup norm
         lo = oracle_weak_sampled(s.mat, q, p, n=2000, seed=int(rng.integers(1e6)))
         assert lo <= b.upper * (1 + 1e-9)
+
+
+def test_weak_restarts_lift_a_case_where_the_row_witnesses_stall():
+    # from the row witnesses alone (restarts=0) power iteration stops at 2.8587536068200263,
+    # and that bracket [2.85875, 2.86161] excludes the value 4 x 256 restarts witness
+    X = [[1.8086195539516332, -0.7493268143868669, -0.1305672689664372, 0.063772122087856],
+         [0.270958521795724, 1.3073303320580347, -0.864395847488965, 1.092248472805563]]
+    s, best = VecSeq(Space(4, Fraction(4, 3)), X), 3.0805206524727127
+    for seed in range(10):
+        b = norm_weak_p(s, Fraction(3, 2), seed=seed)
+        assert b.lower >= best * (1 - 1e-12) and b.upper >= best
 
 
 def test_weak_rejects_bad_p():
@@ -689,10 +713,12 @@ def test_seq_norm_dispatch_rad_fallback():
 
 
 def test_empty_sequences_are_zero():
-    s = VecSeq(Space(3, 2), np.zeros((0, 3)))
-    for spec in ALL_SPECS:
-        b = seq_norm(s, spec, seed=0)
-        assert b.exact and b.lower == 0.0 and b.upper == 0.0
+    for mat in ([], (), np.zeros((0, 3))):  # numpy reads [] as shape (0,), yet it is the empty sequence
+        s = VecSeq(Space(3, 2), mat)
+        assert s.mat.shape == (0, 3)
+        for spec in ALL_SPECS:
+            b = seq_norm(s, spec, seed=0)
+            assert b.exact and b.lower == 0.0 and b.upper == 0.0
 
 
 def test_linear_stability_of_each_class():
