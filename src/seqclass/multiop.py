@@ -298,7 +298,11 @@ def decoupling_check(A: MultiOp, seqs: Sequence[VecSeq]) -> float:
 
     nfree = k * (n - 1)
     acc = np.zeros(A.codomain.dim)
-    for signs in sign_patterns(np.eye(nfree), block=1 << 14):
+    # Half of `_optim.DEFAULT_BLOCK`, which is sized for rows of a few
+    # coordinates: these rows are nfree <= 20 sign columns wide. 2^12 also
+    # keeps every enumeration of k (n - 1) <= 12 signs, the decoupling
+    # suite's, in one block.
+    for signs in sign_patterns(np.eye(nfree), block=1 << 12):
         groups = [signs[:, l * k : (l + 1) * k] for l in range(n - 1)]
         mats = [g @ seqs[l].mat for l, g in enumerate(groups)]
         prod = np.ones((signs.shape[0], k))

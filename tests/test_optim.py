@@ -1,5 +1,6 @@
-"""Tests for the meet-in-the-middle sign enumerator, the dual-update kernel and the ball maximum."""
+"""Tests for the meet-in-the-middle sign enumerator, its exact consumers, the dual-update kernel and the ball maximum."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -7,7 +8,9 @@ import pytest
 
 from seqclass import _optim
 from seqclass._optim import ball_max, power_iterate, sign_patterns, sign_table, unit_scaled
-from seqclass.spaces import INF, lq_norm
+from seqclass.multiop import MultiOp, decoupling_check
+from seqclass.seqnorm import VecSeq, norm_rad, norm_weak_p
+from seqclass.spaces import INF, Space, lq_norm
 
 
 def bit_patterns(k, fix_first, block):
@@ -41,7 +44,7 @@ def test_sums_match_pattern_products():
             X = rng.standard_normal((k, d))
             fix_first = bool(k % 2)
             blocks = list(sign_patterns(X, fix_first))
-            refs = [pm @ X for pm in bit_patterns(k, fix_first, 1 << 15)]
+            refs = [pm @ X for pm in bit_patterns(k, fix_first, _optim.DEFAULT_BLOCK)]
             assert len(blocks) == len(refs)
             scale = max(np.abs(r).max() for r in refs)
             for got, ref in zip(blocks, refs):
@@ -88,14 +91,55 @@ def test_unit_scaled_on_a_stack_matches_each_matrix():
 
 def test_no_pattern_matrix_at_k20():
     X = np.random.default_rng(52).standard_normal((20, 3))
-    for fix_first, count in ((False, 32), (True, 16)):
+    block = _optim.DEFAULT_BLOCK
+    for fix_first, count in ((False, (1 << 20) // block), (True, (1 << 19) // block)):
         shapes = [b.shape for b in sign_patterns(X, fix_first)]
-        assert shapes == [(1 << 15, 3)] * count
+        assert shapes == [(block, 3)] * count
 
 
 def test_empty_sum():
     blocks = list(sign_patterns(np.zeros((0, 4)), fix_first=True))
     assert len(blocks) == 1 and np.array_equal(blocks[0], np.zeros((1, 4)))
+
+
+@pytest.mark.parametrize("q", [Fraction(3, 2), 2, INF])
+def test_enumerations_past_one_block_match_a_pattern_matrix_reference(q):
+    # k = 13..20 spans the low/high split of DEFAULT_BLOCK = 2^13 (one block up
+    # to k = 14 with the first sign fixed, then 2, 4, ... 64 blocks); the
+    # reference sums every pattern as pm @ X and takes numpy's own vector norm
+    rng = np.random.default_rng(56)
+    for k in range(13, 21):
+        for d in (2, 6):
+            X = rng.standard_normal((k, d))
+            total, best = 0.0, 0.0
+            for pm in bit_patterns(k, True, 1 << 16):
+                vals = np.linalg.norm(pm @ X, ord=float(q), axis=1)
+                total += (vals * vals).sum()
+                best = max(best, vals.max())
+            s = VecSeq(Space(d, q), X)
+            assert norm_rad(s) == pytest.approx(math.sqrt(total / (1 << (k - 1))), rel=1e-14, abs=0), (k, d)
+            b = norm_weak_p(s, 1)
+            assert b.lower == b.upper == pytest.approx(best, rel=1e-14, abs=0), (k, d)
+
+
+@pytest.mark.parametrize("n, k", [(2, 16), (3, 8)])
+def test_decoupling_past_one_block(n, k):
+    # k (n - 1) = 16 free signs: sixteen blocks of decoupling_check's 2^12 rows
+    rng = np.random.default_rng(57)
+    A = MultiOp(tuple(Space(3, q) for q in (2, Fraction(3, 2), INF)[:n]), Space(2, 3),
+                rng.standard_normal((3,) * n + (2,)))
+    seqs = [VecSeq(sp, rng.standard_normal((k, sp.dim))) for sp in A.domain]
+    assert decoupling_check(A, seqs) <= 1e-10
+
+
+def test_sign_blocks_never_exceed_their_block():
+    rng = np.random.default_rng(58)
+    for block in (1, 4, 1 << 12, _optim.DEFAULT_BLOCK):
+        for k in (0, 1, 5, 12, 13, 14, 17):
+            for fix_first in (False, True):
+                nfree = k - 1 if fix_first and k else k
+                rows = [b.shape[0] for b in sign_patterns(rng.standard_normal((k, 2)), fix_first, block)]
+                assert max(rows) <= block and sum(rows) == 1 << nfree, (block, k, fix_first)
 
 
 def unit_rows(rng, n, d, ball_q):

@@ -784,16 +784,18 @@ def test_seq_norm_block_matches_seq_norm_bit_for_bit(spec):
         # the dense blocks the hill climb sends: with no zero entry a block goes to its kernel whole
         for k, d in ((2, 1), (2, 3), (3, 2), (3, 4)):
             _assert_block_matches(Space(d, q), rng.standard_normal((6, k, d)), spec)
-    # B 2^(k-1) at DEFAULT_BLOCK (a one-block enumeration at k = 16) and past it
-    # (B = 3 and k = 15, and a two-block enumeration at k = 17, item by item)
-    for B, k in ((2, 15), (3, 15), (1, 16), (1, 17)):
+    # B 2^(k-1) at DEFAULT_BLOCK = 2^L (a one-block enumeration at k = L + 1) and
+    # past it (B = 3 and k = L, and a two-block enumeration at k = L + 2, item by item)
+    L = _optim.DEFAULT_BLOCK.bit_length() - 1
+    for B, k in ((2, L), (3, L), (1, L + 1), (1, L + 2)):
         for q in [1, 2, INF]:
             _assert_block_matches(Space(2, q), rng.standard_normal((B, k, 2)), spec)
 
 
 def test_weak_sign_oracle_reads_a_one_block_table_as_the_loop_would():
     rng = np.random.default_rng(64)
-    for shape in ((2, 3), (3, 2), (6, 3, 2), (16, 3), (2, 15, 2)):
+    L = _optim.DEFAULT_BLOCK.bit_length() - 1  # 2^(k-1) patterns fit one block up to k = L + 1
+    for shape in ((2, 3), (3, 2), (6, 3, 2), (L + 1, 3), (2, L, 2)):
         X = rng.standard_normal(shape)
         for q in (1, 1.5, 2.0, 3):
             Y, e = _optim.unit_scaled(X)

@@ -12,7 +12,10 @@ Times, with `timeit` and BLAS on one thread:
   a (6, 3, 3) block for each of its branches;
 * one `ideal_norm` k-step, as the difference of the medians at k_max and
   k_max - 1 (restarts 3, as in `ideal-sweep`);
-* `op_norm` on linear maps, with exact slots and with a searched one.
+* `op_norm` on linear maps, with exact slots and with a searched one;
+* the exact sign enumerators: `norm_rad` and `norm_weak_p(s, 1)` on 16 x 4
+  and 20 x 4 sequences in l_{3/2} (2^15 and 2^19 sign patterns), and
+  `decoupling_check` at (n, k) = (2, 16) and (3, 8) (2^16 sign tuples).
 
 Each layer is timed in 21 repeats of a loop sized to about 10 ms, and
 reported per call as the median and the quartiles, in microseconds. Only
@@ -42,8 +45,8 @@ import numpy as np  # noqa: E402
 
 from seqclass import idealnorm, seqnorm  # noqa: E402
 from seqclass.idealnorm import IdealSpec, ideal_norm, ideal_ratio  # noqa: E402
-from seqclass.multiop import MultiOp, op_norm  # noqa: E402
-from seqclass.seqnorm import SeqClassSpec, VecSeq  # noqa: E402
+from seqclass.multiop import MultiOp, decoupling_check, op_norm  # noqa: E402
+from seqclass.seqnorm import SeqClassSpec, VecSeq, norm_rad, norm_weak_p  # noqa: E402
 from seqclass.spaces import INF, Space  # noqa: E402
 
 REPEATS = 21
@@ -142,12 +145,26 @@ def op_norm_layers() -> dict:
     return out
 
 
+def enum_layers() -> dict:
+    out = {}
+    for k in (16, 20):
+        s = VecSeq(Space(4, Fraction(3, 2)), np.random.default_rng([20, k]).standard_normal((k, 4)))
+        out[f"norm_rad l3/2^4 k={k}"] = per_call_us(lambda: norm_rad(s))
+        out[f"norm_weak_p weak-1 l3/2^4 k={k}"] = per_call_us(lambda: norm_weak_p(s, 1))
+    for n, k in ((2, 16), (3, 8)):
+        A = operator(n)
+        rng = np.random.default_rng([21, n])
+        seqs = [VecSeq(sp, rng.standard_normal((k, sp.dim))) for sp in A.domain]
+        out[f"decoupling_check n={n} k={k}"] = per_call_us(lambda: decoupling_check(A, seqs))
+    return out
+
+
 def main(argv: list[str]) -> int:
     if len(argv) > 1:
         print("usage: python3 tools/layer_times.py [OUT.json]", file=sys.stderr)
         return 2
     layers = {}
-    for group in (ratio_layers, block_layers, climb_layers, op_norm_layers):
+    for group in (ratio_layers, block_layers, climb_layers, op_norm_layers, enum_layers):
         for name, t in group().items():
             layers[name] = t
             spread = f"  [{t['q1_us']:.1f}, {t['q3_us']:.1f}]" if "q1_us" in t else ""
