@@ -14,6 +14,7 @@ included.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -44,6 +45,7 @@ def _seed(text: str) -> int:
     raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
 
 
+@functools.cache  # parse_args leaves the parser as it was, so one per process serves every call
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="seqclass",

@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from . import _optim
-from ._optim import ball_max, sign_patterns
+from ._optim import ball_max, sign_patterns, sign_table
 from .spaces import Space, Vector, _float_array, _max_scaled, as_exponent, conjugate_exponent, lq_norm
 from .seqnorm import NormBracket, VecSeq
 
@@ -281,9 +281,20 @@ def decoupling_check(A: MultiOp, seqs: Sequence[VecSeq]) -> float:
     """Residual of the sign-decoupling identity.
 
     Compares sum_j A(x_j^1,...,x_j^n) with the exact average over all
-    (n-1)-tuples of sign vectors of A applied to the randomized sums, the
-    last slot carrying the product of the signs. Zero up to roundoff.
-    Needs k (n-1) <= `_optim.SIGN_CUTOFF`.
+    (n-1)-tuples of sign vectors eps^1, ..., eps^(n-1) of A applied to the
+    signed sums sum_j eps^l_j x_j^l, the last slot carrying the products
+    eps^1_j ... eps^(n-1)_j. Zero up to roundoff. Needs k (n-1) <=
+    `_optim.SIGN_CUTOFF`.
+
+    Every sign tuple is visited once, as a row of an `evaluate_batch`
+    block of at most `_optim.DEFAULT_BLOCK` rows, and no +-1 pattern is
+    built. For n = 2 the last slot's signs are the first slot's own, so one
+    `sign_patterns` call on the two sequences side by side yields both
+    slots. For n >= 3 (so k <= 10) slot l reads the `sign_table` of its own
+    sequence: slot l < n - 1 at the index i_l of its group of k signs, the
+    last slot at i_0 ^ ... ^ i_(n-2), complemented when n is odd. A set
+    bit of an index is a + sign, so the product of the signs at j is + when
+    an even number of the n - 1 bits at j are clear.
     """
     n = A.arity
     k = seq_tuple_length(A, seqs)
@@ -292,23 +303,31 @@ def decoupling_check(A: MultiOp, seqs: Sequence[VecSeq]) -> float:
             f"enumeration budget exceeded: k*(n-1) = {k * (n - 1)} > {_optim.SIGN_CUTOFF}"
         )
 
-    direct = np.zeros(A.codomain.dim)
-    for j in range(k):
-        direct += _apply(A, [s.mat[j] for s in seqs])
-
-    nfree = k * (n - 1)
+    direct = evaluate_batch(A, [s.mat for s in seqs]).sum(axis=0)
+    if n == 1:
+        blocks = [[seqs[0].mat.sum(axis=0, keepdims=True)]]
+    elif n == 2:
+        d0 = A.domain[0].dim
+        blocks = ([S[:, :d0], S[:, d0:]] for S in sign_patterns(np.concatenate([s.mat for s in seqs], axis=1)))
+    else:
+        blocks = _table_blocks([s.mat for s in seqs], k)
     acc = np.zeros(A.codomain.dim)
-    # Half of `_optim.DEFAULT_BLOCK`, which is sized for rows of a few
-    # coordinates: these rows are nfree <= 20 sign columns wide. 2^12 also
-    # keeps every enumeration of k (n - 1) <= 12 signs, the decoupling
-    # suite's, in one block.
-    for signs in sign_patterns(np.eye(nfree), block=1 << 12):
-        groups = [signs[:, l * k : (l + 1) * k] for l in range(n - 1)]
-        mats = [g @ seqs[l].mat for l, g in enumerate(groups)]
-        prod = np.ones((signs.shape[0], k))
-        for g in groups:
-            prod = prod * g
-        mats.append(prod @ seqs[n - 1].mat)
+    for mats in blocks:
         acc += evaluate_batch(A, mats).sum(axis=0)
-    avg = acc / (1 << nfree)
-    return lq_norm(direct - avg, A.codomain.q)
+    return lq_norm(direct - acc / (1 << (k * (n - 1))), A.codomain.q)
+
+
+def _table_blocks(mats: Sequence[np.ndarray], k: int):
+    """`decoupling_check`'s argument blocks for n >= 3, each slot's rows gathered from one sign table."""
+    T = sign_table(np.concatenate(mats, axis=1)).T  # row i: every slot's signed sum under sign pattern i
+    ends = np.cumsum([X.shape[1] for X in mats])
+    tables = [np.ascontiguousarray(T[:, e - X.shape[1] : e]) for X, e in zip(mats, ends)]
+    mask, groups = (1 << k) - 1, len(mats) - 1
+    total = 1 << (k * groups)
+    for start in range(0, total, _optim.DEFAULT_BLOCK):
+        idx = np.arange(start, min(start + _optim.DEFAULT_BLOCK, total))
+        rows = [(idx >> (l * k)) & mask for l in range(groups)]
+        last = mask if len(mats) % 2 else 0
+        for r in rows:
+            last = last ^ r
+        yield [t.take(r, axis=0) for t, r in zip(tables, rows + [last])]  # take: faster than t[r] on 2^13 rows

@@ -48,7 +48,7 @@ ASCENT_SLACK = 1e-3
 #: root of a witness value, the rest the few ulps per level and summed term of that value and of a max-scaled cap.
 _ROUNDING = 2.0**-44
 
-#: Monte-Carlo samples `seq_norm` draws for a Rademacher norm past `_optim.SIGN_CUTOFF`.
+#: Monte-Carlo samples `seq_norm` draws for a Rademacher norm past `_optim.SIGN_CUTOFF` on q != 2.
 RAD_MC_SAMPLES = 10_000
 
 
@@ -317,9 +317,15 @@ def norm_rad(s: VecSeq) -> float:
     """Exact Rademacher average (2^-k sum over signs of ||sum_j e_j x_j||^2)^(1/2).
 
     The L_2 average of the random signed sum over [0,1] equals this finite
-    mean exactly, so no quadrature is involved. k is at most `_optim.SIGN_CUTOFF`.
+    mean exactly, so no quadrature is involved. On l_2 the signs are
+    orthonormal, so the mean is the strong-2 norm (sum_j ||x_j||_2^2)^(1/2)
+    (Diestel, Jarchow & Tonge, Absolutely Summing Operators, 1995), which
+    this returns bit for bit at every k. Otherwise the signs are enumerated
+    and k is at most `_optim.SIGN_CUTOFF`.
     """
     k = len(s)
+    if s.space.q == 2:
+        return norm_strong_p(s, 2)
     if k > _optim.SIGN_CUTOFF:
         raise ValueError(
             f"k={k} exceeds sign cutoff {_optim.SIGN_CUTOFF}; use norm_rad_mc for long sequences"
@@ -331,6 +337,8 @@ def norm_rad(s: VecSeq) -> float:
 
 
 def _rad_value(X: np.ndarray, q):
+    if q == 2:
+        return _strong_value(X, q, 2.0)
     X, e = unit_scaled(X)
     total, count = 0.0, 0
     for sums in sign_patterns(X, fix_first=True):
@@ -341,8 +349,8 @@ def _rad_value(X: np.ndarray, q):
 
 
 def norm_rad_prefix_sup(s: VecSeq) -> float:
-    """max over prefixes of the Rademacher norm (coincides with the full norm)."""
-    if len(s) > _optim.SIGN_CUTOFF:
+    """max over prefixes of the Rademacher norm (coincides with the full norm); k <= `_optim.SIGN_CUTOFF` off l_2."""
+    if s.space.q != 2 and len(s) > _optim.SIGN_CUTOFF:
         raise ValueError(f"k={len(s)} exceeds sign cutoff {_optim.SIGN_CUTOFF}")
     return max((norm_rad(truncate(s, m)) for m in range(len(s) + 1)), default=0.0)
 
@@ -410,12 +418,19 @@ def _cohen_bracket(X: np.ndarray, q, p, seed: int) -> tuple[float, float]:
         B = np.vstack([np.eye(d), X, np.random.default_rng(seed).standard_normal((4, d))])
         B = B / lq_norm(B, q, axis=1)[:, None]
 
+    last = [None, b"", None]  # the atoms and the bytes of z of the last evaluation, and its result
+
     def grads(z):
-        # columns 2 ||y_i|| grad ||y_i||_{p*} at y_i = Phi b_i, and the norms ||y_i||_{p*}
-        Y = z.reshape(k, d) @ B.T
-        n = lq_norm(Y, ps, axis=0)
-        U = Y / np.where(n > 0.0, n, 1.0)
-        return 2.0 * n * np.sign(U) * np.abs(U) ** (ps - 1.0), n
+        # columns 2 ||y_i|| grad ||y_i||_{p*} at y_i = Phi b_i, and the norms ||y_i||_{p*}; SLSQP
+        # asks for the constraint values and the Jacobian at each iterate, which share one evaluation
+        # (the key copies z, which SLSQP updates in place, and holds the atoms B, which grow between rounds)
+        key = z.tobytes()
+        if last[0] is not B or last[1] != key:
+            Y = z.reshape(k, d) @ B.T
+            n = lq_norm(Y, ps, axis=0)
+            U = Y / np.where(n > 0.0, n, 1.0)
+            last[:] = B, key, (2.0 * n * np.sign(U) * np.abs(U) ** (ps - 1.0), n)
+        return last[2]
 
     # B grows between rounds; the constraint closures always read the current atoms
     cons = {
@@ -498,9 +513,11 @@ def norm_cohen(s: VecSeq, p, seed: int = 0) -> NormBracket:
 def seq_norm(s: VecSeq, spec: SeqClassSpec, seed: int = 0) -> NormBracket:
     """Uniform bracket-valued interface to the five engines.
 
-    Exact engines come back as zero-width brackets; the Rademacher norm
-    falls back to `RAD_MC_SAMPLES` Monte-Carlo samples beyond
-    `_optim.SIGN_CUTOFF`.
+    Exact engines come back as zero-width brackets. The Rademacher norm
+    is exact on l_2 at every k, by its closed form (method
+    "rad-l2-closed-form"), and otherwise by enumeration up to
+    `_optim.SIGN_CUTOFF`; past it, on q != 2, it falls back to
+    `RAD_MC_SAMPLES` Monte-Carlo samples.
     """
     if spec.tag == "sup":
         return NormBracket.exact_value(norm_sup(s), "sup", seed)
@@ -509,6 +526,8 @@ def seq_norm(s: VecSeq, spec: SeqClassSpec, seed: int = 0) -> NormBracket:
     if spec.tag == "weak":
         return norm_weak_p(s, spec.p, seed=seed)
     if spec.tag == "rad":
+        if s.space.q == 2:
+            return NormBracket.exact_value(norm_rad(s), "rad-l2-closed-form", seed)
         if len(s) <= _optim.SIGN_CUTOFF:
             return NormBracket.exact_value(norm_rad(s), "rad-enumeration", seed)
         return norm_rad_mc(s, RAD_MC_SAMPLES, seed)
@@ -523,10 +542,11 @@ def block_kernel(space: Space, spec: SeqClassSpec, k: int, B: int, seed: int = 0
     Entry i equals `seq_norm(VecSeq(space, S[i]), spec, seed)` bit for
     bit. The branch, the float exponents and the enumeration budget are
     fixed here, once per shape. The exact branches that act row by row
-    run on the whole block at once: sup and strong-p on every item, and,
-    on the items with k >= 2 and no zero row, weak-p on l_inf spaces,
-    weak-1 by sign enumeration (q < inf, rows not disjoint) and Rad by
-    enumeration, the two enumerations while B 2^(k-1) <= `DEFAULT_BLOCK`.
+    run on the whole block at once: sup, strong-p and Rad on l_2 (its
+    closed form, for every B and k) on every item, and, on the items with
+    k >= 2 and no zero row, weak-p on l_inf spaces, weak-1 by sign
+    enumeration (q < inf, rows not disjoint) and Rad by enumeration
+    (q != 2), the two enumerations while B 2^(k-1) <= `DEFAULT_BLOCK`.
     A block with no zero entry is all such items, since at k >= 2 no two
     of its rows have disjoint supports. A block whose items all take the
     kernel goes to it as it is, and its lower and upper ends come back as
@@ -540,6 +560,8 @@ def block_kernel(space: Space, spec: SeqClassSpec, k: int, B: int, seed: int = 0
     elif k >= 1 and spec.tag == "strong":
         p = float(spec.p)
         kernel, every = (lambda X: _strong_value(X, q, p)), True
+    elif k >= 1 and spec.tag == "rad" and q == 2.0:
+        kernel, every = (lambda X: _rad_value(X, q)), True
     elif k >= 2 and spec.tag in ("weak", "rad"):
         enumerable = B << (k - 1) <= DEFAULT_BLOCK
         if spec.tag == "weak" and q == INF:

@@ -174,7 +174,7 @@ def lq_norm(a, q, axis=None):
     else:
         s = np.add.reduce(a * a if qf == 2.0 else a ** qf, axis)
         # np.power, not **: a numpy scalar's ** takes another pow than the array loop
-        if axis is None and _POW_MIN <= s <= _POW_MAX:
+        if axis is None and (_POW_MIN <= s <= _POW_MAX or not a.any()):  # a zero array needs no rescaling
             return math.sqrt(s) if qf == 2.0 else float(np.power(s, 1.0 / qf))
         n = np.sqrt(s) if qf == 2.0 else np.power(s, 1.0 / qf)
         # argmin and argmax cost a fraction of a min or max reduction; NaN fails both tests

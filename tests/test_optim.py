@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from seqclass import _optim
+from seqclass import _optim, multiop
 from seqclass._optim import ball_max, power_iterate, sign_patterns, sign_table, unit_scaled
 from seqclass.multiop import MultiOp, decoupling_check
 from seqclass.seqnorm import VecSeq, norm_rad, norm_weak_p
@@ -124,12 +124,49 @@ def test_enumerations_past_one_block_match_a_pattern_matrix_reference(q):
 
 @pytest.mark.parametrize("n, k", [(2, 16), (3, 8)])
 def test_decoupling_past_one_block(n, k):
-    # k (n - 1) = 16 free signs: sixteen blocks of decoupling_check's 2^12 rows
+    # k (n - 1) = 16 free signs: 2^16 sign tuples, eight blocks of DEFAULT_BLOCK = 2^13 rows
     rng = np.random.default_rng(57)
     A = MultiOp(tuple(Space(3, q) for q in (2, Fraction(3, 2), INF)[:n]), Space(2, 3),
                 rng.standard_normal((3,) * n + (2,)))
     seqs = [VecSeq(sp, rng.standard_normal((k, sp.dim))) for sp in A.domain]
     assert decoupling_check(A, seqs) <= 1e-10
+
+
+def decoupling_reference(A, seqs):
+    """Brute force: each (n-1)-tuple of sign vectors a row of a +-1 pattern matrix, the last slot their product."""
+    n, k = A.arity, len(seqs[0])
+    letters = "abcdefgh"[:n]
+    contract = ",".join(f"z{c}" for c in letters) + f",{letters}o->o"
+    direct = np.einsum(contract, *[s.mat for s in seqs], A.coeffs)
+    total = np.zeros(A.codomain.dim)
+    for pm in bit_patterns(k * (n - 1), False, 1 << 14):
+        groups = [pm[:, l * k:(l + 1) * k] for l in range(n - 1)]
+        mats = [g @ s.mat for g, s in zip(groups, seqs)]
+        prod = np.ones((len(pm), k))
+        for g in groups:
+            prod = prod * g
+        mats.append(prod @ seqs[-1].mat)
+        total += np.einsum(contract, *mats, A.coeffs)
+    return lq_norm(direct - total / (1 << (k * (n - 1))), A.codomain.q)
+
+
+@pytest.mark.parametrize("n, k", [(1, 1), (1, 30), (2, 1), (2, 13), (2, 14), (2, 20), (3, 1), (3, 7), (3, 10),
+                                  (4, 2), (4, 5), (4, 6)])
+def test_decoupling_matches_a_sign_pattern_reference_on_integers(monkeypatch, n, k):
+    # integer coefficients and entries make every signed sum, product and sum exact,
+    # so both residuals are exactly 0 and any tuple visited twice, missed or paired
+    # with the wrong product sign would show; k (n - 1) runs up to SIGN_CUTOFF
+    rng = np.random.default_rng([59, n, k])
+    A = MultiOp(tuple(Space(d, q) for d, q in zip((2, 1, 3, 2)[:n], (2, Fraction(3, 2), INF, 1))),
+                Space(2, 3), rng.integers(-3, 4, size=(2, 1, 3, 2)[:n] + (2,)))
+    seqs = [VecSeq(sp, rng.integers(-3, 4, size=(k, sp.dim))) for sp in A.domain]
+    rows = []
+    original = multiop.evaluate_batch
+    monkeypatch.setattr(multiop, "evaluate_batch", lambda A, mats: rows.append(len(mats[0])) or original(A, mats))
+    assert decoupling_check(A, seqs) == decoupling_reference(A, seqs) == 0.0
+    # the direct sum's k rows, then every sign tuple once, in blocks of at most DEFAULT_BLOCK rows
+    assert rows[0] == k and sum(rows[1:]) == 1 << (k * (n - 1))
+    assert max(rows[1:]) <= _optim.DEFAULT_BLOCK
 
 
 def test_sign_blocks_never_exceed_their_block():

@@ -19,7 +19,7 @@ TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
 REPORT_SHA256 = {
     "small-cohen-stability-0": "c2fc0817ae57942c3a64f4be1e3a83c4403802810358a1c8f1ddcaef29758e36",
-    "small-decoupling-0": "435d9ab75a00b2a983272184ff4a2354a1d2f8df6ed85e647923bfe7fd758138",
+    "small-decoupling-0": "f60588e3db1dcdcaec553020b9cc95cfcbd99393ffd9b602682340c029e99b23",
     "small-growth-0": "1c4ba527e79d2e4df89a706ca2c3aa7769e6a670d1f08466987c98c86b64c36e",
     "small-holder-identity-0": "72982484d25f79839f09f365baf2d1bdc89ea53af3ba3ac421c9210338361d1c",
     "small-ideal-axioms-0": "722840354d372ff5c495be3a2997faf440aeab11eda8692869deb03ff636bc36",

@@ -426,9 +426,25 @@ def test_rad_prefix_sup_equals_rad():
 
 
 def test_rad_cutoff_enforced():
-    s = VecSeq(Space(1, 2), np.ones((21, 1)))
+    # the cutoff bounds the enumeration, which only q != 2 needs
+    s = VecSeq(Space(2, 3), np.ones((21, 2)))
     with pytest.raises(ValueError):
         norm_rad(s)
+    with pytest.raises(ValueError):
+        norm_rad_prefix_sup(s)
+
+
+@pytest.mark.parametrize("k", [1, 7, 21, 40])
+def test_rad_on_l2_is_the_strong_2_norm_at_every_k(k):
+    rng = np.random.default_rng(42)
+    X = rng.standard_normal((k, 3))
+    X[k // 2] = 0.0  # a zero row stays in the sum, as in norm_strong_p
+    s = VecSeq(Space(3, 2), X)
+    assert norm_rad(s) == norm_strong_p(s, 2)
+    assert norm_rad_prefix_sup(s) == max(norm_strong_p(truncate(s, m), 2) for m in range(k + 1))
+    # exactly homogeneous under powers of two, where squaring unscaled rows would overflow or underflow
+    for c in (2.0**600, 2.0**-600):
+        assert norm_rad(VecSeq(s.space, c * X)) == c * norm_rad(s)
 
 
 def test_rad_mc_bracket():
@@ -705,11 +721,27 @@ def test_norm_axioms_homogeneity_and_triangle():
 
 
 def test_seq_norm_dispatch_rad_fallback():
+    # past the sign cutoff on q != 2 the bracket is Monte Carlo: it must contain the
+    # value a brute-force pass over the 2^20 patterns with the first sign fixed gives
     rng = np.random.default_rng(101)
+    s = random_seq(rng, 21, 2, 3)
+    b = seq_norm(s, SeqClassSpec.rad(), seed=3)
+    assert not b.exact and b.method.startswith("monte-carlo")
+    total, count = 0.0, 0
+    for start in range(0, 1 << 20, 1 << 16):
+        idx = np.arange(start, start + (1 << 16))
+        pm = np.hstack([np.ones((len(idx), 1)), ((idx[:, None] >> np.arange(20)) & 1) * 2.0 - 1.0])
+        vals = np.linalg.norm(pm @ s.mat, ord=3, axis=1)
+        total, count = total + (vals * vals).sum(), count + len(idx)
+    assert b.contains(math.sqrt(total / count))
+
+
+def test_seq_norm_rad_on_l2_is_exact_past_the_sign_cutoff():
+    rng = np.random.default_rng(102)
     s = random_seq(rng, 25, 2, 2)
     b = seq_norm(s, SeqClassSpec.rad(), seed=3)
-    assert not b.exact
-    assert b.contains(norm_strong_p(s, 2))  # Hilbert identity, MC bracket
+    assert b.exact and b.method == "rad-l2-closed-form"
+    assert b.lower == b.upper == norm_strong_p(s, 2)
 
 
 def test_empty_sequences_are_zero():
@@ -813,6 +845,17 @@ def test_seq_norm_block_fallback_items_bit_for_bit():
     for spec in (SeqClassSpec.rad(), SeqClassSpec.weak(1)):
         _assert_block_matches(Space(2, 3), rng.standard_normal((3, 15, 2)), spec)
     _assert_block_matches(Space(2, 2), rng.standard_normal((2, 21, 2)), SeqClassSpec.rad())
+
+
+def test_rad_block_on_l2_keeps_zero_rows_as_seq_norm_does():
+    # from 8 terms on numpy's pairwise sum groups the terms by position, so a
+    # path that dropped the zero rows of only some items could move the last bit
+    rng = np.random.default_rng(65)
+    for B, k in ((1, 8), (3, 9), (6, 17), (2, 25)):
+        S = rng.standard_normal((B, k, 3)) * np.exp2(rng.integers(-8, 9, size=(B, 1, 1)))
+        S[0, [0, k // 2]] = 0.0
+        S[-1, 1::3] = 0.0
+        _assert_block_matches(Space(3, 2), S, SeqClassSpec.rad())
 
 
 def test_seq_norm_block_runs_the_row_wise_branches_as_one_block(monkeypatch):

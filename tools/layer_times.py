@@ -14,8 +14,10 @@ Times, with `timeit` and BLAS on one thread:
   k_max - 1 (restarts 3, as in `ideal-sweep`);
 * `op_norm` on linear maps, with exact slots and with a searched one;
 * the exact sign enumerators: `norm_rad` and `norm_weak_p(s, 1)` on 16 x 4
-  and 20 x 4 sequences in l_{3/2} (2^15 and 2^19 sign patterns), and
-  `decoupling_check` at (n, k) = (2, 16) and (3, 8) (2^16 sign tuples).
+  and 20 x 4 sequences in l_{3/2} (2^15 and 2^19 sign patterns), `norm_rad`
+  on a 20 x 4 sequence in l_2 (its closed form), and `decoupling_check`
+  at (n, k) = (2, 16) and (3, 8) (2^16 sign tuples) and at the decoupling
+  suite's sizes (n, k) = (2, 2), (2, 4), (3, 2) and (3, 4).
 
 Each layer is timed in 21 repeats of a loop sized to about 10 ms, and
 reported per call as the median and the quartiles, in microseconds. Only
@@ -151,7 +153,9 @@ def enum_layers() -> dict:
         s = VecSeq(Space(4, Fraction(3, 2)), np.random.default_rng([20, k]).standard_normal((k, 4)))
         out[f"norm_rad l3/2^4 k={k}"] = per_call_us(lambda: norm_rad(s))
         out[f"norm_weak_p weak-1 l3/2^4 k={k}"] = per_call_us(lambda: norm_weak_p(s, 1))
-    for n, k in ((2, 16), (3, 8)):
+    s = VecSeq(Space(4, 2), np.random.default_rng([20, 20]).standard_normal((20, 4)))
+    out["norm_rad l2^4 k=20"] = per_call_us(lambda: norm_rad(s))
+    for n, k in ((2, 16), (3, 8), (2, 2), (2, 4), (3, 2), (3, 4)):
         A = operator(n)
         rng = np.random.default_rng([21, n])
         seqs = [VecSeq(sp, rng.standard_normal((k, sp.dim))) for sp in A.domain]
