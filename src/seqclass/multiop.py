@@ -290,11 +290,12 @@ def decoupling_check(A: MultiOp, seqs: Sequence[VecSeq]) -> float:
     block of at most `_optim.DEFAULT_BLOCK` rows, and no +-1 pattern is
     built. For n = 2 the last slot's signs are the first slot's own, so one
     `sign_patterns` call on the two sequences side by side yields both
-    slots. For n >= 3 (so k <= 10) slot l reads the `sign_table` of its own
-    sequence: slot l < n - 1 at the index i_l of its group of k signs, the
-    last slot at i_0 ^ ... ^ i_(n-2), complemented when n is odd. A set
-    bit of an index is a + sign, so the product of the signs at j is + when
-    an even number of the n - 1 bits at j are clear.
+    slots; since A(-a, -b) = A(a, b), it visits only the tuples with
+    eps_0 = +1. For n >= 3 (so k <= 10) slot l reads the `sign_table` of
+    its own sequence: slot l < n - 1 at the index i_l of its group of k
+    signs, the last slot at i_0 ^ ... ^ i_(n-2), complemented when n is
+    odd. A set bit of an index is a + sign, so the product of the signs at
+    j is + when an even number of the n - 1 bits at j are clear.
     """
     n = A.arity
     k = seq_tuple_length(A, seqs)
@@ -304,17 +305,19 @@ def decoupling_check(A: MultiOp, seqs: Sequence[VecSeq]) -> float:
         )
 
     direct = evaluate_batch(A, [s.mat for s in seqs]).sum(axis=0)
+    free = k * (n - 1)
     if n == 1:
         blocks = [[seqs[0].mat.sum(axis=0, keepdims=True)]]
     elif n == 2:
-        d0 = A.domain[0].dim
-        blocks = ([S[:, :d0], S[:, d0:]] for S in sign_patterns(np.concatenate([s.mat for s in seqs], axis=1)))
+        d0, free = A.domain[0].dim, max(k - 1, 0)
+        S2 = np.concatenate([s.mat for s in seqs], axis=1)
+        blocks = ([S[:, :d0], S[:, d0:]] for S in sign_patterns(S2, fix_first=True))
     else:
         blocks = _table_blocks([s.mat for s in seqs], k)
     acc = np.zeros(A.codomain.dim)
     for mats in blocks:
         acc += evaluate_batch(A, mats).sum(axis=0)
-    return lq_norm(direct - acc / (1 << (k * (n - 1))), A.codomain.q)
+    return lq_norm(direct - acc / (1 << free), A.codomain.q)
 
 
 def _table_blocks(mats: Sequence[np.ndarray], k: int):

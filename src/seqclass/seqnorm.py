@@ -393,19 +393,26 @@ def _cohen_bracket(X: np.ndarray, q, p, seed: int) -> tuple[float, float]:
     """(lower, upper) for the projective norm of X in l_p^k (x)_pi l_q^d.
 
     Cutting planes (J. E. Kelley, J. SIAM 8, 1960) on the dual program
-    max <Phi, X> subject to ||Phi b||_{p*} <= 1 on the l_q unit ball. Each
-    round solves it by SLSQP with ||Phi b_i||_{p*}^2 <= 1 imposed on a set
-    of unit atoms b_i: the sign vertices for q = inf and d <= 6 (exact in
-    one round), else the e_i, the rows of X and 4 seeded random points.
-    The KKT multipliers give X = sum_i a_i b_i^T + R with
-    a_i = lambda_i grad ||Phi b_i||_{p*}^2, priced at
-    sum_i ||a_i||_p ||b_i||_q + sum_j ||R_j||_q: an upper end at any Phi.
-    One `power_iterate` call runs from the 8 atoms with the largest
-    multipliers and the weak-p* starts of Phi (its row witnesses and 8
-    seeded random points), and each row that ends above 1 + `_CUT_TOL`
-    adds its end point as an atom; the rounds stop when none does. The
-    lower end is <Phi, X> over the upper end of the weak-p* bracket of the
-    best-scoring Phi.
+    max <Phi, X> subject to ||Phi b||_{p*} <= 1 on the l_q unit ball. Every
+    unit atom b found is kept in a pool: first the sign vertices for q = inf
+    and d <= 6 (exact in one round), else the e_i, the rows of X and 4
+    seeded random points. These initial atoms span R^d. Each round solves
+    the program by SLSQP with ||Phi b_i||_{p*}^2 <= 1 imposed on a working
+    set of the pool only: the initial atoms, the atoms with a positive
+    multiplier at the last solve and the round's new cuts. One `lq_norm`
+    call then rechecks the whole pool; any pooled atom above 1 + `_CUT_TOL`
+    joins the working set and the program is solved again from the same
+    Phi, so each round ends at a Phi feasible for every atom found (the
+    cut-deletion rule of B. C. Eaves & W. I. Zangwill, SIAM J. Control 9,
+    1971). The KKT multipliers of the working set give
+    X = sum_i a_i b_i^T + R with a_i = lambda_i grad ||Phi b_i||_{p*}^2,
+    priced at sum_i ||a_i||_p ||b_i||_q + sum_j ||R_j||_q: an upper end at
+    any Phi. One `power_iterate` call runs from the 8 atoms with the
+    largest multipliers and the weak-p* starts of Phi (its row witnesses
+    and 8 seeded random points), and each row that ends above
+    1 + `_CUT_TOL` adds its end point to the pool and the working set; the
+    rounds stop when none does. The lower end is <Phi, X> over the upper
+    end of the weak-p* bracket of the best-scoring Phi.
     """
     from scipy import optimize
 
@@ -413,17 +420,19 @@ def _cohen_bracket(X: np.ndarray, q, p, seed: int) -> tuple[float, float]:
     pstar = conjugate_exponent(p)
     ps, x = float(pstar), X.ravel()
     if q == INF and d <= 6:
-        B = np.vstack(list(sign_patterns(np.eye(d), fix_first=True)))
+        P = np.vstack(list(sign_patterns(np.eye(d), fix_first=True)))
     else:
-        B = np.vstack([np.eye(d), X, np.random.default_rng(seed).standard_normal((4, d))])
-        B = B / lq_norm(B, q, axis=1)[:, None]
+        P = np.vstack([np.eye(d), X, np.random.default_rng(seed).standard_normal((4, d))])
+        P = P / lq_norm(P, q, axis=1)[:, None]
+    base = len(P)
+    work = np.arange(base)  # pool indices of the working set, ascending, so the initial atoms lead it
 
     last = [None, b"", None]  # the atoms and the bytes of z of the last evaluation, and its result
 
     def grads(z):
         # columns 2 ||y_i|| grad ||y_i||_{p*} at y_i = Phi b_i, and the norms ||y_i||_{p*}; SLSQP
         # asks for the constraint values and the Jacobian at each iterate, which share one evaluation
-        # (the key copies z, which SLSQP updates in place, and holds the atoms B, which grow between rounds)
+        # (the key copies z, which SLSQP updates in place, and holds the working set B, which changes)
         key = z.tobytes()
         if last[0] is not B or last[1] != key:
             Y = z.reshape(k, d) @ B.T
@@ -432,7 +441,7 @@ def _cohen_bracket(X: np.ndarray, q, p, seed: int) -> tuple[float, float]:
             last[:] = B, key, (2.0 * n * np.sign(U) * np.abs(U) ** (ps - 1.0), n)
         return last[2]
 
-    # B grows between rounds; the constraint closures always read the current atoms
+    # B changes between solves; the constraint closures always read the current working set
     cons = {
         "type": "ineq",
         "fun": lambda z: 1.0 - grads(z)[1] ** 2,
@@ -440,11 +449,19 @@ def _cohen_bracket(X: np.ndarray, q, p, seed: int) -> tuple[float, float]:
     }
     z, upper, best = np.zeros(k * d), math.inf, (0.0, np.zeros((k, d)))
     for _ in range(_CUT_ROUNDS):
-        res = optimize.minimize(
-            lambda z: -float(z @ x), z, jac=lambda z: -x, method="SLSQP",
-            constraints=[cons], options={"maxiter": 200, "ftol": 1e-12},
-        )
-        z, Phi = res.x, res.x.reshape(k, d)
+        while True:
+            B = P[work]
+            res = optimize.minimize(
+                lambda z: -float(z @ x), z, jac=lambda z: -x, method="SLSQP",
+                constraints=[cons], options={"maxiter": 200, "ftol": 1e-12},
+            )
+            z = res.x
+            pooled = lq_norm(z.reshape(k, d) @ P.T, ps, axis=0)
+            late = np.setdiff1d(np.flatnonzero(pooled > 1.0 + _CUT_TOL), work)
+            if not len(late):
+                break
+            work = np.union1d(work, late)
+        Phi = z.reshape(k, d)
         A = res.multipliers[:, None] * grads(z)[0].T
         R = X - A.T @ B
         cost = (lq_norm(A, p, axis=1) * lq_norm(B, q, axis=1)).sum() + lq_norm(R, q, axis=1).sum()
@@ -455,12 +472,15 @@ def _cohen_bracket(X: np.ndarray, q, p, seed: int) -> tuple[float, float]:
         score = float(z @ x) / top if top > 0.0 else 0.0
         if score > best[0]:
             best = (score, Phi)
-        m = len(B)
+        m = len(P)
         for b, f in zip(ends, fs):
-            if f > 1.0 + _CUT_TOL and np.minimum(abs(B - b).max(1), abs(B + b).max(1)).min() > 1e-9:
-                B = np.vstack([B, b])
-        if len(B) == m:
+            if f > 1.0 + _CUT_TOL and np.minimum(abs(P - b).max(1), abs(P + b).max(1)).min() > 1e-9:
+                P = np.vstack([P, b])
+        if len(P) == m:
             break
+        keep = res.multipliers > 0.0
+        keep[:base] = True
+        work = np.concatenate([work[keep], np.arange(m, len(P))])
     Phi = best[1]
     num = float((Phi * X).sum())
     den = norm_weak_p(VecSeq(Space(d, conjugate_exponent(q)), Phi), pstar, seed=seed, restarts=8).upper
@@ -473,12 +493,14 @@ def norm_cohen(s: VecSeq, p, seed: int = 0) -> NormBracket:
     Exact for p = 1 (sum of norms), scalars (plain l_p), singletons, l_1
     spaces (the l_1 factor splits off), and (p, q) = (2, 2) (trace norm).
     Otherwise `_cohen_bracket` on the rows scaled by their strong-p norm:
-    cutting planes on the dual program give a dual lower end, divided by
-    the heuristic weak-p* upper end of its functional, and the decomposition
-    its KKT multipliers price as the upper end (capped by the strong-1
-    norm, then rounded outward by `_ROUNDING`). The lower end is kept under
-    it, since it divides by a heuristic weak-p* upper end. The width floor is
-    about `ASCENT_SLACK`, the weak-p* slack, unless that bracket is exact (q = inf).
+    cutting planes on the dual program, each master solved over a working
+    set of the atoms found and rechecked on all of them, give a dual lower
+    end, divided by the heuristic weak-p* upper end of its functional, and
+    the decomposition its KKT multipliers price as the upper end (capped by
+    the strong-1 norm, then rounded outward by `_ROUNDING`). The lower end
+    is kept under it, since it divides by a heuristic weak-p* upper end.
+    The width floor is about `ASCENT_SLACK`, the weak-p* slack, unless that
+    bracket is exact (q = inf).
     """
     p = _finite_exponent(p)
     if len(s) == 0 or not s.mat.any():

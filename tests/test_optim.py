@@ -164,8 +164,9 @@ def test_decoupling_matches_a_sign_pattern_reference_on_integers(monkeypatch, n,
     original = multiop.evaluate_batch
     monkeypatch.setattr(multiop, "evaluate_batch", lambda A, mats: rows.append(len(mats[0])) or original(A, mats))
     assert decoupling_check(A, seqs) == decoupling_reference(A, seqs) == 0.0
-    # the direct sum's k rows, then every sign tuple once, in blocks of at most DEFAULT_BLOCK rows
-    assert rows[0] == k and sum(rows[1:]) == 1 << (k * (n - 1))
+    # the direct sum's k rows, then every sign tuple once (at n = 2 each one with eps_0 = +1,
+    # since A(-a, -b) = A(a, b)), in blocks of at most DEFAULT_BLOCK rows
+    assert rows[0] == k and sum(rows[1:]) == 1 << (k - 1 if n == 2 else k * (n - 1))
     assert max(rows[1:]) <= _optim.DEFAULT_BLOCK
 
 

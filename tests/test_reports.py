@@ -18,8 +18,8 @@ from pathlib import Path
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
 REPORT_SHA256 = {
-    "small-cohen-stability-0": "c2fc0817ae57942c3a64f4be1e3a83c4403802810358a1c8f1ddcaef29758e36",
-    "small-decoupling-0": "f60588e3db1dcdcaec553020b9cc95cfcbd99393ffd9b602682340c029e99b23",
+    "small-cohen-stability-0": "a6ac1377ceb0cd0a98a5e079e6c72d8cbce71a13e3155faa504ef9e755862364",
+    "small-decoupling-0": "131031e0757f96ab0479fd439b5957a46e8fe49b8b005193b5f86c03a5188785",
     "small-growth-0": "1c4ba527e79d2e4df89a706ca2c3aa7769e6a670d1f08466987c98c86b64c36e",
     "small-holder-identity-0": "72982484d25f79839f09f365baf2d1bdc89ea53af3ba3ac421c9210338361d1c",
     "small-ideal-axioms-0": "722840354d372ff5c495be3a2997faf440aeab11eda8692869deb03ff636bc36",

@@ -562,6 +562,32 @@ def test_cohen_width_guard_on_hard_stratum():
     assert max(widths) <= 1.25e-3
 
 
+def test_cohen_masters_see_a_working_set_not_the_pool(monkeypatch):
+    # the widest case of the hard-stratum corpus, draw 256 of default_rng(31): a master
+    # over every atom ever found takes up to 113 constraints there
+    from scipy import optimize
+
+    rng = np.random.default_rng(31)
+    qs, ps = [Fraction(4, 3), Fraction(3, 2), 2, 3, INF], [Fraction(4, 3), Fraction(3, 2), 2, 3]
+    for _ in range(257):
+        d, k = int(rng.integers(2, 4)), int(rng.integers(2, 7))
+        q, p = qs[rng.integers(5)], ps[rng.integers(4)]
+        X = rng.standard_normal((k, d))
+    assert (X.shape, q, p) == ((6, 3), 2, Fraction(3, 2))
+    sizes, minimize = [], optimize.minimize
+
+    def counted(fun, x0, **kw):
+        sizes.append(len(kw["constraints"][0]["fun"](x0)))
+        return minimize(fun, x0, **kw)
+
+    monkeypatch.setattr(optimize, "minimize", counted)
+    s = VecSeq(Space(3, 2), X)
+    b = norm_cohen(s, p, seed=256)
+    assert sizes and max(sizes) <= 60
+    assert norm_strong_p(s, p) <= b.lower <= b.upper <= norm_strong_p(s, 1)
+    assert b.width <= 1.25e-3 * b.upper
+
+
 def assert_cohen_bracket_holds(X, q, p, exact):
     lower, upper = _cohen_bracket(X, q, p, seed=11)
     assert lower <= exact * (1 + 1e-9) and exact <= upper * (1 + 1e-9), (q, p)

@@ -17,10 +17,14 @@ Times, with `timeit` and BLAS on one thread:
   and 20 x 4 sequences in l_{3/2} (2^15 and 2^19 sign patterns), `norm_rad`
   on a 20 x 4 sequence in l_2 (its closed form), and `decoupling_check`
   at (n, k) = (2, 16) and (3, 8) (2^16 sign tuples) and at the decoupling
-  suite's sizes (n, k) = (2, 2), (2, 4), (3, 2) and (3, 4).
+  suite's sizes (n, k) = (2, 2), (2, 4), (3, 2) and (3, 4);
+* `norm_cohen` on three fixed inputs of its cutting-plane branch, in
+  l_{3/2} at p = 4/3: k x d = 5 x 3, 3 x 4 and 3 x 6, each drawn from
+  `default_rng([22, d, k])`, at seed 1.
 
-Each layer is timed in 21 repeats of a loop sized to about 10 ms, and
-reported per call as the median and the quartiles, in microseconds. Only
+Each layer is timed in 21 repeats of a loop sized to about 10 ms (at
+least one call), and reported per call as the median and the quartiles,
+in microseconds. Only
 functions with the same signature on every commit since the
 once-per-shape kernels are called, so the tool can be copied into an
 older checkout and run there. It imports the library from the `src/`
@@ -48,7 +52,7 @@ import numpy as np  # noqa: E402
 from seqclass import idealnorm, seqnorm  # noqa: E402
 from seqclass.idealnorm import IdealSpec, ideal_norm, ideal_ratio  # noqa: E402
 from seqclass.multiop import MultiOp, decoupling_check, op_norm  # noqa: E402
-from seqclass.seqnorm import SeqClassSpec, VecSeq, norm_rad, norm_weak_p  # noqa: E402
+from seqclass.seqnorm import SeqClassSpec, VecSeq, norm_cohen, norm_rad, norm_weak_p  # noqa: E402
 from seqclass.spaces import INF, Space  # noqa: E402
 
 REPEATS = 21
@@ -163,12 +167,20 @@ def enum_layers() -> dict:
     return out
 
 
+def cohen_layers() -> dict:
+    out = {}
+    for k, d in ((5, 3), (3, 4), (3, 6)):
+        s = VecSeq(Space(d, Fraction(3, 2)), np.random.default_rng([22, d, k]).standard_normal((k, d)))
+        out[f"norm_cohen l3/2^{d} k={k} p=4/3"] = per_call_us(lambda: norm_cohen(s, Fraction(4, 3), seed=1))
+    return out
+
+
 def main(argv: list[str]) -> int:
     if len(argv) > 1:
         print("usage: python3 tools/layer_times.py [OUT.json]", file=sys.stderr)
         return 2
     layers = {}
-    for group in (ratio_layers, block_layers, climb_layers, op_norm_layers, enum_layers):
+    for group in (ratio_layers, block_layers, climb_layers, op_norm_layers, enum_layers, cohen_layers):
         for name, t in group().items():
             layers[name] = t
             spread = f"  [{t['q1_us']:.1f}, {t['q3_us']:.1f}]" if "q1_us" in t else ""
