@@ -1,5 +1,14 @@
 """Internal search primitives: sign enumeration, dual updates, ball maxima.
 
+Signed sums eps @ M come from the two `sign_halves` tables, a low one of
+the first log2(block) signs and a high one of the rest: `sign_patterns`
+yields every low row l_r plus each high column h_c as a block, and
+`seqnorm._weak_sign_oracle` bounds each row l_r + h_c by ||l_r|| +
+||h_c|| and evaluates only the rows that can reach its running max
+(within a relative margin 2^-40 + d 2^-51 for rounding), gathered by
+`take` into C-ordered tables of at least two rows so that each row is
+summed as in its block.
+
 `ball_max` is the routine for max ||M x||_p over an l_q unit ball
 wherever a maximizer or a search is needed: the weak-p norm's branches
 other than its l_inf and weak-1 ones (which read the value alone through
@@ -88,16 +97,27 @@ def sign_patterns(M: np.ndarray, fix_first: bool = False, block: int = DEFAULT_B
     transposed views of column-major tables: each row reduction runs
     along contiguous memory.
     """
+    low, high = sign_halves(M, fix_first, block)
+    if high is None:
+        yield np.swapaxes(low, -1, -2)  # a single block: the low table is the whole enumeration
+        return
+    for c in range(high.shape[-1]):
+        yield np.swapaxes(low + high[..., c, None], -1, -2)
+
+
+def sign_halves(M: np.ndarray, fix_first: bool = False, block: int = DEFAULT_BLOCK):
+    """The low and high `sign_table`s of `sign_patterns`, (low, None) when the low one is the whole enumeration.
+
+    The low table holds the signs of the first min(log2(block) free, k)
+    rows, the high table those of the rest, so block c of `sign_patterns`
+    is `low + high[..., c, None]` transposed. Every reader of the split
+    takes it from here.
+    """
     M = np.asarray(M, dtype=float)
     k = M.shape[-2]
     lo = min((1 if fix_first and k else 0) + block.bit_length() - 1, k)
     low = sign_table(M[..., :lo, :], fix_first)
-    if lo == k:
-        yield np.swapaxes(low, -1, -2)  # a single block: the low table is the whole enumeration
-        return
-    high = sign_table(M[..., lo:, :])
-    for c in range(high.shape[-1]):
-        yield np.swapaxes(low + high[..., c, None], -1, -2)
+    return low, (sign_table(M[..., lo:, :]) if lo < k else None)
 
 
 def power_iterate(M: np.ndarray, ball_q, p, X: np.ndarray, iters: int) -> tuple[np.ndarray, np.ndarray]:

@@ -20,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import _optim
-from ._optim import DEFAULT_BLOCK, ball_max, power_iterate, sign_patterns, sign_table, unit_scaled
+from ._optim import DEFAULT_BLOCK, ball_max, power_iterate, sign_halves, sign_patterns, sign_table, unit_scaled
 from .spaces import INF, Space, _float_array, as_exponent, conjugate_exponent, dual_witness, lq_norm
 
 __all__ = [
@@ -241,14 +241,54 @@ def _weak_disjoint_value(X: np.ndarray, q, p: float) -> float:
     return lq_norm(lq_norm(X, q, axis=1), p / (1.0 - r) if r < 1.0 else INF)
 
 
+#: Margin mu of the weak-1 branch and bound is this plus d 2^-51 on rows of d entries. `lq_norm`
+#: takes each norm within eps = (d + 5) 2^-53 + 2^-44.6 relative (d powers summed, each within an
+#: ulp, and the root as in `_ROUNDING`'s note), and a block entry is within 2^-53 of l_r + h_c. So a
+#: row the test skips computes to at most (1 + 2 eps + 4 2^-53) (||l_r|| + ||h_c||) < best, as
+#: 2^-40 covers 2^-43.6 and the ulps, and d 2^-51 the d-term sums.
+_PRUNE_MARGIN = 2.0**-40
+
+
 def _weak_sign_oracle(X: np.ndarray, q):
     X, e = unit_scaled(X)
     if 1 << (X.shape[-2] - 1) <= DEFAULT_BLOCK:  # one block: the signed sums of one doubling table
         return np.ldexp(lq_norm(sign_table(X, fix_first=True), q, axis=-2).max(-1), e)
-    best = np.zeros(X.shape[:-2])
-    for sums in sign_patterns(X, fix_first=True):
-        best = np.fmax(best, lq_norm(sums, q, axis=-1).max(-1))
-    return np.ldexp(best, e)
+    if X.ndim > 2:
+        return np.ldexp([_weak_sign_max(x, q) for x in X], e)
+    return np.ldexp(_weak_sign_max(X, q), e)
+
+
+def _weak_sign_max(X: np.ndarray, q) -> float:
+    """The max of ||eps @ X||_q over the blocks of `sign_patterns(X, fix_first=True)`, bit for bit.
+
+    Branch and bound (Land & Doig, 1960) on a (k, d) matrix whose signs
+    fill more than one block: block c holds the low table's rows l_r plus
+    the high table's column h_c, and ||l_r + h_c|| <= ||l_r|| + ||h_c||.
+    The top low row against every column gives a first best; then the
+    columns go in descending ||h_c||, each evaluating only the low rows
+    with ||l_r|| >= best / (1 + mu) - ||h_c||, until even the top low row
+    falls short. Each evaluated row is summed and reduced as in its block:
+    the rows gathered by `take` form a C-ordered (d, m) table like the
+    block's, with m >= 2 (a lone contiguous row of 8 or more entries would
+    be summed pairwise, a strided one is summed in order), and a column
+    where most rows survive is its whole block.
+    """
+    low, high = sign_halves(X, fix_first=True)
+    nl, nh = lq_norm(low, q, axis=0), lq_norm(high, q, axis=0)
+    mu = 1.0 + _PRUNE_MARGIN + X.shape[-1] * 2.0**-51
+    best = lq_norm((high + low[:, nl.argmax(), None]).T, q, axis=-1).max()  # 2^(k-14) >= 2 rows
+    live = np.flatnonzero(nl >= best / mu - nh.max())  # the low rows any column can still need
+    for c in np.argsort(nh)[::-1]:
+        rows = live[nl[live] >= best / mu - nh[c]]
+        if not rows.size:
+            break
+        if 2 * rows.size > nl.size:
+            sums = low + high[:, c, None]
+        else:
+            sums = low.take(rows if rows.size > 1 else rows.repeat(2), axis=1)
+            sums += high[:, c, None]
+        best = max(best, lq_norm(sums.T, q, axis=-1).max())
+    return best
 
 
 def _weak_linf_value(X: np.ndarray, p: float):
@@ -277,6 +317,13 @@ def norm_weak_p(s: VecSeq, p, seed: int = 0, restarts: int = 32) -> NormBracket:
     rows with disjoint supports, p = 1 via sign enumeration (k <=
     `_optim.SIGN_CUTOFF`), l_1 spaces via
     dual l_inf vertices, and (p, q) = (2, 2) via the top singular value.
+    The sign enumeration reads one doubling table while its 2^(k-1)
+    patterns fit one block, and past that is a branch and bound over the
+    blocks of `_optim.sign_patterns`: a block's low row l_r plus high
+    column h_c is evaluated only if ||l_r|| + ||h_c|| >= best / (1 + mu),
+    mu = 2^-40 + d 2^-51 covering the rounding of both sides. Every
+    evaluated row is summed as in its block (a C-ordered gather of at
+    least two rows), so the value is the full enumeration's, bit for bit.
     Otherwise `ball_max` runs power iteration from the row witnesses and
     `restarts` seeded random points: the lower end is attained by its
     maximizer, and `NormBracket.searched` caps its slack by the strong-p

@@ -862,6 +862,52 @@ def test_weak_sign_oracle_reads_a_one_block_table_as_the_loop_would():
             assert np.array_equal(seqnorm._weak_sign_oracle(X, q), want), (shape, q)
 
 
+def weak_sign_loop(X, q):
+    """Reference: the weak-1 value as the max over every block of `sign_patterns`."""
+    Y, e = _optim.unit_scaled(X)
+    best = 0.0
+    for sums in _optim.sign_patterns(Y, fix_first=True):
+        best = max(best, lq_norm(sums, q, axis=-1).max())
+    return np.ldexp(best, e)
+
+
+def test_weak_sign_branch_and_bound_matches_the_full_loop_bit_for_bit():
+    # d = 1..12 on both sides of numpy's pairwise threshold (8 contiguous entries): a gather
+    # of the wrong layout, or a lone surviving row, sums some row in another order
+    rng = np.random.default_rng(65)
+    for t, (d, q) in enumerate(itertools.product(range(1, 13), (1, Fraction(4, 3), Fraction(3, 2), 2, 3, 4))):
+        for kind in (("normal", "scaled", "integer")[t % 3],) + ("+-v",) * (1 + 2 * (d >= 8)):
+            k = 15 + (t + len(kind)) % 4
+            if kind == "+-v":  # every signed sum a multiple of v: near-ties, one row survives
+                X = np.outer(rng.choice([-1.0, 1.0], size=k), rng.standard_normal(d))
+            elif kind == "integer":
+                X = rng.integers(-3, 4, size=(k, d)) * 1.0
+                X[0, 0] = 4.0  # no zero matrix
+            else:
+                X = rng.standard_normal((k, d))
+                if kind == "scaled":
+                    X *= np.ldexp(1.0, rng.choice([-1000, 1000], size=(k, 1)))
+            assert seqnorm._weak_sign_oracle(X, q) == weak_sign_loop(X, q), (d, q, kind, k)
+    # a stack goes item by item
+    S = rng.standard_normal((2, 15, 3))
+    assert np.array_equal(seqnorm._weak_sign_oracle(S, 3), [weak_sign_loop(X, 3) for X in S])
+
+
+def test_weak_sign_branch_and_bound_prunes(monkeypatch):
+    rows = []
+    original = seqnorm.lq_norm
+
+    def counted(a, q, axis=None):
+        rows.append(np.size(a) // np.shape(a)[axis])  # the slices reduced
+        return original(a, q, axis)
+
+    monkeypatch.setattr(seqnorm, "lq_norm", counted)
+    X = np.random.default_rng(66).standard_normal((20, 4))
+    assert seqnorm._weak_sign_oracle(X, Fraction(3, 2)) == weak_sign_loop(X, Fraction(3, 2))
+    # the tables' norms and the rows evaluated, of 2^19 signed sums
+    assert sum(rows) < 0.1 * 2**19, sum(rows)
+
+
 def test_seq_norm_block_fallback_items_bit_for_bit():
     rng = np.random.default_rng(62)
     # the Cohen engine item by item (its exact and its heuristic branches)

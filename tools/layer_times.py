@@ -15,7 +15,10 @@ Times, with `timeit` and BLAS on one thread:
 * `op_norm` on linear maps, with exact slots and with a searched one;
 * the exact sign enumerators: `norm_rad` and `norm_weak_p(s, 1)` on 16 x 4
   and 20 x 4 sequences in l_{3/2} (2^15 and 2^19 sign patterns), `norm_rad`
-  on a 20 x 4 sequence in l_2 (its closed form), and `decoupling_check`
+  on a 20 x 4 sequence in l_2 (its closed form), the weak-1 branch and
+  bound where it has the least room to prune (15 x 4 in l_{3/2}, two
+  blocks; 20 dense orthogonal rows of l_2^20, whose signed sums all tie)
+  and on 20 x 4 sequences in l_1 and l_3, and `decoupling_check`
   at (n, k) = (2, 16) and (3, 8) (2^16 sign tuples) and at the decoupling
   suite's sizes (n, k) = (2, 2), (2, 4), (3, 2) and (3, 4);
 * `norm_cohen` on three fixed inputs of its cutting-plane branch, in
@@ -159,6 +162,14 @@ def enum_layers() -> dict:
         out[f"norm_weak_p weak-1 l3/2^4 k={k}"] = per_call_us(lambda: norm_weak_p(s, 1))
     s = VecSeq(Space(4, 2), np.random.default_rng([20, 20]).standard_normal((20, 4)))
     out["norm_rad l2^4 k=20"] = per_call_us(lambda: norm_rad(s))
+    weak = {
+        "l3/2^4 k=15": VecSeq(Space(4, Fraction(3, 2)), np.random.default_rng([20, 15]).standard_normal((15, 4))),
+        "l1^4 k=20": VecSeq(Space(4, 1), np.random.default_rng([20, 20]).standard_normal((20, 4))),
+        "l3^4 k=20": VecSeq(Space(4, 3), np.random.default_rng([20, 20]).standard_normal((20, 4))),
+        "l2^20 orthogonal k=20": VecSeq(Space(20, 2), np.linalg.qr(np.random.default_rng(26).standard_normal((20, 20)))[0]),
+    }
+    for name, s in weak.items():
+        out[f"norm_weak_p weak-1 {name}"] = per_call_us(lambda: norm_weak_p(s, 1))
     for n, k in ((2, 16), (3, 8), (2, 2), (2, 4), (3, 2), (3, 4)):
         A = operator(n)
         rng = np.random.default_rng([21, n])
