@@ -8,10 +8,12 @@ output class Y is the best constant C with
 over all finite sequences. The estimator sweeps sequence lengths k,
 maximizing the certified ratio (output lower / product of input uppers);
 the k = 1 slice recovers the operator norm. At each longer k a hill climb
-advances all its starts as one population: each step scores every
-candidate tuple with one block ratio, one `evaluate_batch` call and one
-block-kernel call per class, whose dispatch is resolved once per length
-(`seqnorm.block_kernel`). Stability and growth
+advances all its starts as one population. A block ratio scores many
+candidate tuples with one `evaluate_batch` call and one block-kernel call
+per class, whose dispatch is resolved once per length
+(`seqnorm.block_kernel`). Where every class has a whole-block kernel,
+one block ratio scores the candidates of the next four steps of every
+start; elsewhere it scores one step. Stability and growth
 experiments probe which classes transport through multilinear maps with
 constant equal to the operator norm, and at what rate the others fail.
 """
@@ -136,8 +138,12 @@ def _ratio_map(A: MultiOp, spec: IdealSpec, k: int, B: int, seed: int):
     argument rows and one kernel call per class. The ratio is 0 wherever
     an input norm is 0. A ratio may differ in the last bit from the B = 1
     call on the same tuple (see `evaluate_batch`): at k = 1 a (B, 1, d)
-    stack differed from its B = 1 calls on 42-61% of rows, at k = 2 and 3
-    on none. The hill climb scores no k = 1 stack.
+    stack differed from its B = 1 calls on 42-61% of rows, at k = 2 to 6
+    on none, whatever B. The hill climb scores no k = 1 stack, and its
+    lookahead rests on that row independence. The map's `whole_block`
+    attribute is true when every class's `block_kernel` has a whole-block
+    kernel at this shape, so that a block with no zero entry makes no
+    `seq_norm` call.
     """
     inputs = [block_kernel(s, c, k, B, seed) for s, c in zip(A.domain, spec.inputs)]
     output = block_kernel(A.codomain, spec.output, k, B, seed)
@@ -149,11 +155,16 @@ def _ratio_map(A: MultiOp, spec: IdealSpec, k: int, B: int, seed: int):
         out = evaluate_batch(A, [M.reshape(B * k, -1) for M in mats]).reshape(B, k, -1)
         return np.divide(output(out)[0], denom, out=np.zeros(B), where=denom > 0.0)
 
+    ratio.whole_block = all(kernel.whole_block for kernel in inputs) and output.whole_block
     return ratio
 
 
 #: Hill-climb steps per start at each sequence length.
 _CLIMB_STEPS = 40
+
+#: Steps a climb round scores in one block ratio where every class has a
+#: whole-block kernel; divides `_CLIMB_STEPS`.
+_LOOKAHEAD = 4
 
 
 def ideal_norm(
@@ -170,15 +181,23 @@ def ideal_norm(
     climb from 3 + `restarts` starts: the best witness so far, zero-padded
     to length k, the coordinate sequences, the signed operator
     witness and `restarts` random draws. The starts advance as one
-    population: every step moves each start along its own random
-    direction, scaled by its own step size, and one block ratio scores
-    all the candidates; a start keeps its candidate only if the ratio
-    rises. The ratio map (`_ratio_map`) is resolved once per k: each
-    class's branch, float exponents and enumeration budget are fixed
-    before the 41 scorings of that length. The ratio-by-k curve is
-    reported as a running maximum, which the pad-with-zeros argument
-    justifies, and the bracket is `NormBracket.searched` at the best
-    ratio, with no cap.
+    population for `_CLIMB_STEPS` steps: every step moves each start
+    along its own random direction, scaled by its own step size, and a
+    start keeps its candidate only if the ratio rises. The steps run in
+    rounds (`_climb_round`) of `_LOOKAHEAD` steps, whose 15 reachable
+    candidates per start one block ratio scores, when the ratio map on
+    that many rows runs every class as one whole-block kernel: sup,
+    strong-p, Rad on l_2, weak-p on l_inf, and the weak-1 and Rad
+    enumerations while 15 S 2^(k-1) <= `_optim.DEFAULT_BLOCK` for S starts.
+    Otherwise a round is one step, so that a class scored item by item
+    (heuristic weak-p, Cohen) scores no candidate the climb does not
+    reach. The result is the one-step climb's, bit for bit, either way.
+    The ratio maps (`_ratio_map`) are resolved once per k: each class's
+    branch, float exponents and enumeration budget are fixed before the
+    scorings of that length (11 at depth 4, 41 at depth 1). The
+    ratio-by-k curve is reported as a running maximum, which the
+    pad-with-zeros argument justifies, and the bracket is
+    `NormBracket.searched` at the best ratio, with no cap.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
@@ -219,13 +238,10 @@ def ideal_norm(
         ratio = _ratio_map(A, spec, k, len(Z), seed)
         f = ratio(_slots(Z, k, dims))
         step = np.full(len(Z), 0.4)
-        for t in range(_CLIMB_STEPS):
-            cand = Z + (step * _row_norms(Z))[:, None] * U[:, t]
-            fc = ratio(_slots(cand, k, dims))
-            up = fc > f
-            Z = np.where(up[:, None], cand, Z)
-            f = np.where(up, fc, f)
-            step = np.where(up, np.minimum(step * 1.3, 1.0), step * 0.8)
+        lookahead = _ratio_map(A, spec, k, ((1 << _LOOKAHEAD) - 1) * len(Z), seed)
+        depth, score = (_LOOKAHEAD, lookahead) if lookahead.whole_block else (1, ratio)
+        for t in range(0, _CLIMB_STEPS, depth):
+            Z, f, step = _climb_round(score, Z, f, step, U[:, t : t + depth], k, dims)
         # the first best start, as a sequential climb over the starts would keep it
         f = np.where(f > 0.0, f, 0.0)
         i = int(np.argmax(f))
@@ -237,6 +253,37 @@ def ideal_norm(
 
     bracket = NormBracket.searched(best_ratio, "k-sweep-ratio-search", seed)
     return IdealNormEstimate(bracket, best_k, best_witness, tuple(curve), op_est)
+
+
+def _climb_round(score, Z, f, step, U, k: int, dims: Sequence[int]):
+    """The next U.shape[1] climb steps of every start, their candidates scored in one block ratio.
+
+    From each start's state (row of Z, f, step), the depth steps can reach
+    2^j states after j accept/reject decisions. A node's children keep its
+    point at step * 0.8 or move to its candidate at min(step * 1.3, 1).
+    Every node's candidate is computed with the one-step climb's
+    expressions, and one `score` call rates all (2^depth - 1) B of them.
+    Each start then walks down its tree with the real decisions fc > f,
+    so it ends in the state that depth one-step rounds reach, bit for
+    bit, as long as a block ratio's rows do not depend on the block (see
+    `_ratio_map`).
+    """
+    B, depth = len(Z), U.shape[1]
+    nodes, steps = Z[:, None], step[:, None]
+    for j in range(depth):
+        cand = nodes + (steps * _row_norms(nodes))[..., None] * U[:, j, None]
+        # node i's children are i, at its point, and 2^j + i, at its candidate
+        nodes = np.concatenate([nodes, cand], axis=1)
+        steps = np.concatenate([steps * 0.8, np.minimum(steps * 1.3, 1.0)], axis=1)
+    # nodes[:, 0] is the start's point, nodes[:, 2^j + i] the candidate of node i at level j
+    F = score(_slots(nodes[:, 1:].reshape(B * ((1 << depth) - 1), -1), k, dims)).reshape(B, -1)
+    rows, node = np.arange(B), np.zeros(B, dtype=np.intp)
+    for j in range(depth):
+        fc = F[rows, (1 << j) - 1 + node]
+        up = fc > f
+        f = np.where(up, fc, f)
+        node += up << j
+    return nodes[rows, node], f, steps[rows, node]
 
 
 def _slots(Z: np.ndarray, k: int, dims: Sequence[int]) -> list[np.ndarray]:

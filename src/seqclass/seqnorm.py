@@ -620,7 +620,10 @@ def block_kernel(space: Space, spec: SeqClassSpec, k: int, B: int, seed: int = 0
     of its rows have disjoint supports. A block whose items all take the
     kernel goes to it as it is, and its lower and upper ends come back as
     one array. Every other item goes through `seq_norm`. A block of
-    another shape is a `ValueError`.
+    another shape is a `ValueError`. The map's `whole_block` attribute
+    says whether the shape has such a kernel: where it does, a block
+    with no zero entry is one kernel call, and no item is left to
+    `seq_norm`.
     """
     q, shape = float(space.q), (B, k, space.dim)
     kernel, every, overlap = None, False, False
@@ -661,4 +664,5 @@ def block_kernel(space: Space, spec: SeqClassSpec, k: int, B: int, seed: int = 0
             lower[i], upper[i] = b.lower, b.upper
         return lower, upper
 
+    brackets.whole_block = kernel is not None
     return brackets

@@ -464,23 +464,76 @@ CLIMB_CASES = [
     ("rad", IdealSpec((SUP, SUP), SeqClassSpec.rad()), (2, 1, INF)),
     ("cohen", IdealSpec((SUP, SUP), SeqClassSpec.cohen(2)), (2, 2, 2)),
     ("weak-1-trilinear", IdealSpec((SUP,) * 3, W1), (2, 1, 2)),
+    # the 1-summing norm of a linear map: no structured start attains it, so
+    # the witness is a climbed one and the lookahead tree shows in the result
+    ("pi-1", IdealSpec((W1,), SeqClassSpec.strong(1)), (2, 2, 2)),
 ]
 
 
-@pytest.mark.parametrize("name, spec, qs", CLIMB_CASES, ids=[c[0] for c in CLIMB_CASES])
-def test_ideal_norm_matches_the_sequential_climb(name, spec, qs):
+def _climb_operator(spec, qs):
     rng = np.random.default_rng(71)
     n = spec.arity
     dims = [int(d) for d in rng.integers(2, 4, size=n + 1)]
     domain = tuple(Space(d, q) for d, q in zip(dims, (qs[0], qs[1], qs[0])[:n]))
-    A = MultiOp(domain, Space(dims[-1], qs[2]), rng.standard_normal(tuple(dims)))
-    est = ideal_norm(A, spec, 3, restarts=2, seed=5)
-    best_k, curve, wit = reference_ideal_norm(A, spec, 3, 2, 5)
-    assert est.best_k == best_k
-    assert list(est.ratio_by_k) == curve
-    assert np.array_equal(np.concatenate([w.mat.ravel() for w in est.witness]), wit)
-    if name != "weak-1-uniform":  # a stable class: k = 1 already attains the ratio
-        assert best_k == 3
+    return MultiOp(domain, Space(dims[-1], qs[2]), rng.standard_normal(tuple(dims)))
+
+
+def _assert_sequential_climb(A, spec, k_max, restarts):
+    est = ideal_norm(A, spec, k_max, restarts=restarts, seed=5)
+    best_k, curve, wit = reference_ideal_norm(A, spec, k_max, restarts, 5)
+    assert est.best_k == best_k, (k_max, restarts)
+    assert list(est.ratio_by_k) == curve, (k_max, restarts)
+    assert np.array_equal(np.concatenate([w.mat.ravel() for w in est.witness]), wit), (k_max, restarts)
+    return best_k
+
+
+@pytest.mark.parametrize("name, spec, qs", CLIMB_CASES, ids=[c[0] for c in CLIMB_CASES])
+def test_ideal_norm_matches_the_sequential_climb(name, spec, qs):
+    A = _climb_operator(spec, qs)
+    # 5, 3 and 11 starts: lookahead blocks of 75, 45 and 165 rows
+    for k_max, restarts in ((3, 2), (5, 0), (5, 8)):
+        best_k = _assert_sequential_climb(A, spec, k_max, restarts)
+        if name != "weak-1-uniform":  # a stable class: k = 1 already attains the ratio
+            assert best_k == k_max
+
+
+def test_ideal_norm_matches_the_sequential_climb_where_lookahead_turns_off(monkeypatch):
+    # 11 starts: a weak-1 block of 15 * 11 tuples enumerates within DEFAULT_BLOCK up to k = 6
+    rounds, climb_round = [], idealnorm._climb_round
+
+    def recording(score, Z, f, step, U, k, dims):
+        rounds.append((k, U.shape[1]))
+        return climb_round(score, Z, f, step, U, k, dims)
+
+    monkeypatch.setattr(idealnorm, "_climb_round", recording)
+    _, spec, qs = CLIMB_CASES[1]
+    assert _assert_sequential_climb(_climb_operator(spec, qs), spec, 8, 8) == 8
+    assert rounds == [(k, 4) for k in range(2, 7) for _ in range(10)] + [(k, 1) for k in (7, 8) for _ in range(40)]
+
+
+@pytest.mark.parametrize("case", ["weak-2-strong-2", "cohen-holder", "weak-1", "strong-holder"])
+def test_climb_block_sizes_follow_the_depth_rule(monkeypatch, case):
+    # the rows of every block ratio a climb scores, one evaluate_batch call each
+    rows, evaluate = [], idealnorm.evaluate_batch
+    monkeypatch.setattr(idealnorm, "evaluate_batch", lambda A, args: rows.append(len(args[0])) or evaluate(A, args))
+    rng = np.random.default_rng(74)
+    if case == "weak-2-strong-2":  # heuristic weak-2 on l_3^3, the 2-summing norm
+        A = MultiOp((Space(3, 3),), Space(3, 3), rng.standard_normal((3, 3)))
+        spec = IdealSpec((SeqClassSpec.weak(2),), SeqClassSpec.strong(2))
+    else:
+        A = MultiOp((Space(2, 2), Space(2, 2)), Space(2, 2), rng.standard_normal((2, 2, 2)))
+        spec = {
+            "cohen-holder": IdealSpec.holder("cohen", (2, 2)),
+            "weak-1": IdealSpec.uniform(SeqClassSpec.weak(1), 2),
+            "strong-holder": IdealSpec.holder("strong", (2, 3)),
+        }[case]
+    S, k_max = 4, 3
+    ideal_norm(A, spec, k_max, restarts=S - 3, seed=2)
+    if case in ("weak-2-strong-2", "cohen-holder"):  # 41 scorings of S tuples per length
+        want = [[S * k] * 41 for k in range(2, k_max + 1)]
+    else:  # the starts, then 10 rounds of 15 S candidates
+        want = [[S * k] + [15 * S * k] * 10 for k in range(2, k_max + 1)]
+    assert rows == [1] + sum(want, [])
 
 
 def test_block_ratio_matches_single_tuples():
@@ -504,6 +557,16 @@ def test_block_ratio_matches_single_tuples():
                 if i != 2:
                     seqs = [VecSeq(s, m[i]) for s, m in zip(A.domain, mats)]
                     assert ideal_ratio(A, spec, seqs, seed=4) == block[i]
+    # the climb's lookahead block of 15 S rows against its S-row slices, on every kernel class:
+    # sup, strong-p, Rad on l_2, weak-p on l_inf, the weak-1 and Rad enumerations, and item by item
+    specs.append(IdealSpec.uniform(SeqClassSpec.sup(), 2))
+    for spec in specs:
+        for k in range(2, 7):
+            mats = [rng.standard_normal((90, k, s.dim)) for s in A.domain]
+            block = _ratio_map(A, spec, k, 90, 4)(mats)
+            S = _ratio_map(A, spec, k, 6, 4)
+            for i in range(0, 90, 6):
+                assert np.array_equal(S([m[i : i + 6] for m in mats]), block[i : i + 6]), (spec.describe(), k, i)
 
 
 def test_ideal_norm_homogeneous_at_extreme_scales():

@@ -948,6 +948,37 @@ def test_seq_norm_block_runs_the_row_wise_branches_as_one_block(monkeypatch):
     assert len(calls) == 1 and np.array_equal(calls[0].mat, S[4])
 
 
+def test_block_kernel_reports_its_whole_block_kernels_per_shape(monkeypatch):
+    calls = []
+    original = seqnorm.seq_norm
+    monkeypatch.setattr(seqnorm, "seq_norm", lambda s, *a, **kw: calls.append(s) or original(s, *a, **kw))
+    rng = np.random.default_rng(67)
+    L = _optim.DEFAULT_BLOCK.bit_length() - 1
+    always = lambda B, k: True  # noqa: E731
+    from_k2 = lambda B, k: k >= 2  # noqa: E731
+    enumerated = lambda B, k: k >= 2 and B << (k - 1) <= _optim.DEFAULT_BLOCK  # noqa: E731
+    never = lambda B, k: False  # noqa: E731
+    cases = [
+        (SeqClassSpec.sup(), 3, always),
+        (SeqClassSpec.strong(Fraction(3, 2)), 1, always),
+        (SeqClassSpec.rad(), 2, always),
+        (SeqClassSpec.weak(Fraction(3, 2)), INF, from_k2),
+        (SeqClassSpec.weak(1), INF, from_k2),
+        (SeqClassSpec.weak(1), 2, enumerated),
+        (SeqClassSpec.rad(), Fraction(3, 2), enumerated),
+        (SeqClassSpec.weak(Fraction(3, 2)), 2, never),
+        (SeqClassSpec.weak(2), 3, never),
+        (SeqClassSpec.cohen(2), 2, never),
+    ]
+    for B, k in ((6, 1), (6, 2), (90, 3), (165, 6), (165, 7), (11, 8), (2, L + 1), (1, L + 2)):
+        for spec, q, rule in cases:
+            brackets = seqnorm.block_kernel(Space(2, q), spec, k, B)
+            assert brackets.whole_block == rule(B, k), (spec, q, B, k)
+            if brackets.whole_block and B << k <= 4 * _optim.DEFAULT_BLOCK:
+                brackets(rng.standard_normal((B, k, 2)))  # a block with no zero entry: one kernel call
+    assert calls == []
+
+
 def test_seq_norm_block_rejects_a_dimension_mismatch():
     # a wrong dimension, a wrong block size B and a wrong length k
     for spec in (SeqClassSpec.sup(), SeqClassSpec.weak(1), SeqClassSpec.cohen(2)):

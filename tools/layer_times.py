@@ -11,7 +11,11 @@ Times, with `timeit` and BLAS on one thread:
 * `seqnorm.block_kernel(...)(S)`, resolved and applied in each call, on
   a (6, 3, 3) block for each of its branches;
 * one `ideal_norm` k-step, as the difference of the medians at k_max and
-  k_max - 1 (restarts 3, as in `ideal-sweep`);
+  k_max - 1 (restarts 3, as in `ideal-sweep`), and the same at restarts 8
+  for weak-1 at n = 2 and k = 6, 7, 8, where a lookahead block of 15 x 11
+  tuples stops fitting the sign enumeration's block after k = 6, and for
+  the 2-summing norm (weak 2; strong 2) of a map on l_3^3, whose heuristic
+  weak-2 class is scored item by item, at k = 2, 3;
 * `op_norm` on linear maps, with exact slots and with a searched one;
 * the exact sign enumerators: `norm_rad` and `norm_weak_p(s, 1)` on 16 x 4
   and 20 x 4 sequences in l_{3/2} (2^15 and 2^19 sign patterns), `norm_rad`
@@ -137,6 +141,17 @@ def climb_layers() -> dict:
             for k in (2, 3):
                 out[f"ideal_norm k-step {kind} n={n} k={k}"] = {
                     "median_us": round(t[k]["median_us"] - t[k - 1]["median_us"], 2)}
+    A = MultiOp((Space(3, 3),), Space(3, 3), np.random.default_rng(27).standard_normal((3, 3)))
+    cases = {
+        "weak-1 n=2 restarts=8": (operator(2), specs(2)["weak-1"], 8, (5, 6, 7, 8)),
+        "(weak 2; strong 2) l3^3 restarts=3": (A, IdealSpec((SeqClassSpec.weak(2),), SeqClassSpec.strong(2)), 3, (1, 2, 3)),
+    }
+    for name, (A, spec, restarts, ks) in cases.items():
+        t = {k: per_call_us(lambda: ideal_norm(A, spec, k, restarts=restarts, seed=1)) for k in ks}
+        for k in ks[1:]:
+            out[f"ideal_norm {name} k_max={k}"] = t[k]
+            out[f"ideal_norm k-step {name} k={k}"] = {
+                "median_us": round(t[k]["median_us"] - t[k - 1]["median_us"], 2)}
     return out
 
 
